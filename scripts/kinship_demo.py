@@ -36,7 +36,7 @@ def main() -> None:
     for tid in graph.triple_ids():
         s, p, o = graph.triple(tid)
         joint = synthesize_joint_state(graph, tid)
-        record = measure(joint.state, shots=args.shots, seed=args.seed)
+        record = measure(joint, shots=args.shots, seed=args.seed)
         print(f"\n{tid}: {s} {p} {o} .")
         print(f"  converse reading : {' '.join(graph.converse_of(tid))} .")
         print(f"  target entropy   : {joint.target_entropy:.6f} bits")

@@ -16,7 +16,9 @@ import numpy as np
 
 from . import entangle, qusym, store, vsa
 from .errors import QcorollaError
-from .qla import entanglement_entropy, von_neumann_entropy
+from .qla import uniform_entropy
+# unused here; kept because perfbench/tracing.py rebinds these module-level names
+from .qla import entanglement_entropy, von_neumann_entropy  # noqa: F401
 
 
 def basis_indices(text: str) -> tuple:
@@ -135,11 +137,8 @@ def _cmd_query(args) -> int:
 def _cmd_entangle(args) -> int:
     graph = store.load_snapshot(args.store)
     joint = entangle.synthesize_joint_state(graph, args.triple, basis_choice=args.basis)
-    amplitudes = {
-        str(i): [float(a.real), float(a.imag)]
-        for i, a in enumerate(joint.state.amplitudes)
-        if a != 0
-    }
+    # the synthesized amplitudes are real, and only the two Schmidt terms can be nonzero
+    amplitudes = {str(i): [a, 0.0] for i, a in joint.support() if a != 0}
     payload = {
         "triple": args.triple,
         "statement": list(graph.triple(args.triple)),
@@ -156,7 +155,7 @@ def _cmd_entangle(args) -> int:
 def _cmd_measure(args) -> int:
     graph = store.load_snapshot(args.store)
     joint = entangle.synthesize_joint_state(graph, args.triple)
-    record = entangle.measure(joint.state, shots=args.shots, seed=args.seed)
+    record = entangle.measure(joint, shots=args.shots, seed=args.seed)
     print(json.dumps(record.as_dict(), sort_keys=True))
     return 0
 
@@ -165,11 +164,9 @@ def _cmd_entropy(args) -> int:
     graph = store.load_snapshot(args.store)
     if args.triple:
         joint = entangle.synthesize_joint_state(graph, args.triple)
-        value = entanglement_entropy(joint.state, joint.dims, base=args.base)
+        value = entangle.measure_entanglement(joint, base=args.base)
     else:
-        voc = graph.node_vocabulary
-        uniform = {symbol: 1.0 / voc.d for symbol in voc}
-        value = von_neumann_entropy(qusym.qusym_ensemble(voc, uniform), base=args.base)
+        value = uniform_entropy(graph.node_vocabulary.d, base=args.base)
     print(f"{value:.6f}")
     return 0
 

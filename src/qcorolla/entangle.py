@@ -16,6 +16,7 @@ seeded per call; there is no global generator state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
@@ -30,10 +31,15 @@ from .errors import (
     WeightOutOfRangeError,
     ZeroVectorError,
 )
-from .qla import StateVector, entanglement_entropy, fidelity
+from .qla import StateVector, fidelity, shannon_entropy
+# unused here; kept because perfbench/tracing.py rebinds this module-level name
+from .qla import entanglement_entropy  # noqa: F401
 from .qusym import Vocabulary
 
 ENTROPY_TOL = 1e-6
+
+# the largest sample count numpy's multinomial sampler accepts (int64)
+MAX_SHOTS = 2**63 - 1
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -54,26 +60,55 @@ class BellState:
 
 @dataclass(frozen=True)
 class JointState:
-    """Bipartite state carrying a triple's target entanglement entropy (bits)."""
+    """Two-term Schmidt state ``√λ |iL⟩⊗|iR⟩ + √(1−λ) |jL⟩⊗|jR⟩`` carrying a
+    triple's target entanglement entropy (bits).
 
-    state: StateVector
+    Stored in closed form: ``basis`` is ``(iL, jL, iR, jR)`` and ``dims`` is
+    ``(d_L, d_R)``. The dense ``d_L·d_R`` amplitudes are built only when
+    ``state`` is first read.
+    """
+
+    lam: float
+    basis: BasisChoice
     dims: Tuple[int, int]
-    left_vocabulary: Vocabulary
-    right_vocabulary: Vocabulary
+    vocabularies: Tuple[Vocabulary, Vocabulary]
     target_entropy: float
     triple_id: str | None = None
-    basis: BasisChoice | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.target_entropy <= 1.0:
             raise WeightOutOfRangeError(
                 f"target entropy must lie in [0, 1] bits, got {self.target_entropy!r}"
             )
-        measured = entanglement_entropy(self.state, self.dims, base=2.0)
+        il, jl, ir, jr = self.basis
+        if il == jl or ir == jr:
+            raise DegenerateBasisError(f"basis indices must differ per side, got {self.basis}")
+        for index, d in ((il, self.dims[0]), (jl, self.dims[0]), (ir, self.dims[1]), (jr, self.dims[1])):
+            if not 0 <= index < d:
+                raise DimensionMismatchError(f"basis index {index} out of range for d={d}")
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError(f"Schmidt weight must lie in [0, 1], got {self.lam!r}")
+        measured = binary_entropy(self.lam)
         if abs(measured - self.target_entropy) > ENTROPY_TOL:
             raise ValueError(
                 f"state entropy {measured!r} misses target {self.target_entropy!r}"
             )
+
+    def support(self) -> Tuple[Tuple[int, float], Tuple[int, float]]:
+        """The two Schmidt terms as (flat index ``i·d_R + j``, amplitude), by index."""
+        il, jl, ir, jr = self.basis
+        d_right = self.dims[1]
+        first = (il * d_right + ir, math.sqrt(self.lam))
+        second = (jl * d_right + jr, math.sqrt(1.0 - self.lam))
+        return (first, second) if first[0] < second[0] else (second, first)
+
+    @functools.cached_property
+    def state(self) -> StateVector:
+        """The dense joint state over all ``d_L·d_R`` basis products."""
+        amps = np.zeros(self.dims[0] * self.dims[1], dtype=complex)
+        for index, amplitude in self.support():
+            amps[index] = amplitude
+        return StateVector(amps)
 
 
 @dataclass(frozen=True)
@@ -104,11 +139,13 @@ def binary_entropy(lam: float) -> float:
     return -lam * math.log2(lam) - (1.0 - lam) * math.log2(1.0 - lam)
 
 
+@functools.lru_cache(maxsize=4096)
 def invert_binary_entropy(p: float) -> float:
     """The λ in [0, 0.5] with H2(λ) = p, by bisection to 1e-10 in λ.
 
     H2 is strictly increasing on [0, 0.5], so bisection is branch-safe;
-    60 iterations shrink the interval below the tolerance.
+    60 iterations shrink the interval below the tolerance. Results are
+    cached, so each registered weight is inverted once.
     """
     if not 0.0 <= p <= 1.0:
         raise WeightOutOfRangeError(f"entropy target must lie in [0, 1], got {p!r}")
@@ -150,37 +187,27 @@ def synthesize_joint_state(
     the converse pair's total weight. By default the support indices are
     the subject and object symbols' basis indices on both sides.
     """
-    s, p, _ = graph.triple(triple_id)
+    _, p, _ = graph.triple(triple_id)
     target = graph.registry.total_weight(p)
     if not 0.0 <= target <= 1.0:
         raise WeightOutOfRangeError(f"registered weight {target!r} outside [0, 1]")
 
     voc = graph.node_vocabulary
-    il, jl, ir, jr = basis_choice if basis_choice is not None else _default_basis(graph, triple_id)
-    if il == jl or ir == jr:
-        raise DegenerateBasisError(f"basis indices must differ per side, got {(il, jl, ir, jr)}")
-    for index in (il, jl, ir, jr):
-        if not 0 <= index < voc.d:
-            raise DimensionMismatchError(f"basis index {index} out of range for d={voc.d}")
-
-    lam = invert_binary_entropy(target)
-    amps = np.zeros(voc.d * voc.d, dtype=complex)
-    amps[il * voc.d + ir] = math.sqrt(lam)
-    amps[jl * voc.d + jr] = math.sqrt(1.0 - lam)
+    basis = basis_choice if basis_choice is not None else _default_basis(graph, triple_id)
     return JointState(
-        state=StateVector(amps),
+        lam=invert_binary_entropy(target),
+        basis=tuple(basis),
         dims=(voc.d, voc.d),
-        left_vocabulary=voc,
-        right_vocabulary=voc,
+        vocabularies=(voc, voc),
         target_entropy=target,
         triple_id=triple_id,
-        basis=(il, jl, ir, jr),
     )
 
 
-def measure_entanglement(joint: JointState) -> float:
-    """Entanglement entropy of the joint state in bits."""
-    return entanglement_entropy(joint.state, joint.dims, base=2.0)
+def measure_entanglement(joint: JointState, base: float = 2.0) -> float:
+    """Entanglement entropy of the joint state: the entropy of its Schmidt weights."""
+    _, amplitudes = zip(*joint.support())
+    return shannon_entropy(np.square(amplitudes), base)
 
 
 def bell_states() -> Tuple[BellState, BellState, BellState, BellState]:
@@ -211,19 +238,26 @@ def map_triple_pattern(pattern: str, config: Mapping[str, str] | None = None) ->
     return by_label[label]
 
 
-def measure(state: StateVector, shots: int, seed: int) -> MeasurementRecord:
+def measure(state: StateVector | JointState, shots: int, seed: int) -> MeasurementRecord:
     """Sample ``shots`` independent outcomes with probabilities |a_i|².
 
-    Identical seeds give identical records. Only outcomes that occurred
-    appear in ``counts``.
+    A ``JointState`` is sampled from its two Schmidt terms, outcomes being
+    flat indices ``i·d_R + j``; the counts equal those of its dense
+    ``state`` for the same seed. Identical seeds give identical records.
+    Only outcomes that occurred appear in ``counts``.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
-    probs = state.probabilities()
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
+    if isinstance(state, JointState):
+        outcomes, amplitudes = zip(*state.support())
+        probs = np.square(amplitudes)
+    else:
+        probs = state.probabilities()
+        outcomes = range(probs.size)
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
-    counts = {int(i): int(c) for i, c in enumerate(draws) if c > 0}
+    counts = {outcomes[k]: int(draws[k]) for k in np.flatnonzero(draws)}
     return MeasurementRecord(shots=shots, counts=counts, seed=seed)
 
 

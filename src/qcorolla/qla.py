@@ -19,7 +19,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -77,6 +77,7 @@ class DensityMatrix:
     """Hermitian, trace-1, positive-semidefinite matrix of selection weights."""
 
     entries: np.ndarray
+    _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _frozen_array(self.entries, complex)
@@ -87,9 +88,11 @@ class DensityMatrix:
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace is {trace!r}, expected 1")
-        if float(np.min(np.linalg.eigvalsh(mat))) < -PSD_TOL:
+        spectrum = np.linalg.eigvalsh(mat)
+        if float(np.min(spectrum)) < -PSD_TOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
         object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -97,7 +100,7 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Real spectrum, ascending, with round-off negatives clamped to 0."""
-        return np.clip(np.linalg.eigvalsh(self.entries), 0.0, None)
+        return np.clip(self._spectrum, 0.0, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,12 +232,28 @@ def schmidt(state: StateVector, dims: Tuple[int, int]) -> SchmidtDecomposition:
     return SchmidtDecomposition(s, left, right)
 
 
-def _entropy_of_probs(probs: np.ndarray, base: float) -> float:
+def _log_of_base(base: float) -> float:
     if base <= 1.0:
         raise ValueError(f"logarithm base must exceed 1, got {base!r}")
+    return math.log(base)
+
+
+def shannon_entropy(probs: Sequence[float] | np.ndarray, base: float = 2.0) -> float:
+    """``H = -Σ p_i log_base p_i`` of a probability vector, with 0 log 0 = 0.
+
+    Negative round-off entries are clamped to 0 before the logarithm.
+    """
     p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-    p = p[p > 0.0]  # 0 log 0 = 0
-    return float(-np.sum(p * np.log(p)) / math.log(base)) + 0.0  # never -0.0
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log(p)) / _log_of_base(base)) + 0.0  # never -0.0
+
+
+def uniform_entropy(d: int, base: float = 2.0) -> float:
+    """``log_base d``: the entropy of a uniform draw over d outcomes.
+
+    Equals the von Neumann entropy of the maximally mixed d x d state.
+    """
+    return math.log(d) / _log_of_base(base)
 
 
 def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> float:
@@ -244,7 +263,7 @@ def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> float:
     logarithm. The result is non-negative and at most 1 when ``base`` equals
     the matrix dimension.
     """
-    return _entropy_of_probs(rho.eigenvalues(), base)
+    return shannon_entropy(rho.eigenvalues(), base)
 
 
 def entanglement_entropy(state: StateVector, dims: Tuple[int, int], base: float = 2.0) -> float:
@@ -254,7 +273,7 @@ def entanglement_entropy(state: StateVector, dims: Tuple[int, int], base: float 
     of either reduced density matrix.
     """
     decomposition = schmidt(state, dims)
-    return _entropy_of_probs(decomposition.coefficients**2, base)
+    return shannon_entropy(decomposition.coefficients**2, base)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -172,3 +172,50 @@ def test_unknown_triple_id(store_dir, capsys):
     _, err = capsys.readouterr()
     assert code == 1
     assert "t99" in err
+
+
+def test_measure_rejects_oversized_shots(store_dir, capsys):
+    code = cli_dispatch(["measure", "t1", "--shots", "99999999999999999999", "--store", str(store_dir)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+# stdout of the dense (SVD and d²-amplitude) implementation on the kinship corpus;
+# the closed-form joint state must reproduce it byte for byte
+KINSHIP_STDOUT = {
+    "entangle t1": '{"amplitudes": {"0": [0.7071067811865476, 0.0], "8": [0.7071067811865476, 0.0]}, '
+    '"basis": [0, 2, 0, 2], "dims": [3, 3], "measured_entropy": 0.9999999999999999, '
+    '"statement": ["person:Bob", "kin:HusbandOf", "person:Mary"], "target_entropy": 1.0, "triple": "t1"}\n',
+    "entangle t1 --basis 2,0,1,2": '{"amplitudes": {"2": [0.7071067811865476, 0.0], "7": [0.7071067811865476, 0.0]}, '
+    '"basis": [2, 0, 1, 2], "dims": [3, 3], "measured_entropy": 0.9999999999999999, '
+    '"statement": ["person:Bob", "kin:HusbandOf", "person:Mary"], "target_entropy": 1.0, "triple": "t1"}\n',
+    "entangle t2": '{"amplitudes": {"0": [0.28174918006355926, 0.0], "4": [0.9594880924396676, 0.0]}, '
+    '"basis": [0, 1, 0, 1], "dims": [3, 3], "measured_entropy": 0.39999999994993024, '
+    '"statement": ["person:Bob", "kin:ParentOf", "person:Alice"], "target_entropy": 0.4, "triple": "t2"}\n',
+    "measure t1 --seed 0 --shots 1000": '{"counts": {"0": 521, "8": 479}, "seed": 0, "shots": 1000}\n',
+    "measure t1 --seed 42 --shots 100000": '{"counts": {"0": 49707, "8": 50293}, "seed": 42, "shots": 100000}\n',
+    "measure t1 --seed 7 --shots 1": '{"counts": {"0": 1}, "seed": 7, "shots": 1}\n',
+    "measure t2 --seed 0 --shots 1000": '{"counts": {"0": 74, "4": 926}, "seed": 0, "shots": 1000}\n',
+    "measure t2 --seed 42 --shots 100000": '{"counts": {"0": 7782, "4": 92218}, "seed": 42, "shots": 100000}\n',
+    "measure t2 --seed 7 --shots 1": '{"counts": {"4": 1}, "seed": 7, "shots": 1}\n',
+    "entropy --triple t1 --base 2": "1.000000\n",
+    "entropy --triple t1 --base 3": "0.630930\n",
+    "entropy --triple t1 --base 10": "0.301030\n",
+    "entropy --triple t2 --base 2": "0.400000\n",
+    "entropy --triple t2 --base 3": "0.252372\n",
+    "entropy --triple t2 --base 10": "0.120412\n",
+    "entropy --node-vocab --base 1.5": "2.709511\n",
+    "entropy --node-vocab --base 2": "1.584963\n",
+    "entropy --node-vocab --base 2.718281828459045": "1.098612\n",
+    "entropy --node-vocab --base 10": "0.477121\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(KINSHIP_STDOUT))
+def test_kinship_stdout_matches_dense_implementation(store_dir, capsys, command):
+    code = cli_dispatch([*command.split(), "--store", str(store_dir)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out == KINSHIP_STDOUT[command]

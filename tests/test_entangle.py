@@ -1,6 +1,7 @@
 """Joint-state synthesis, Bell states, measurement sampling, tessellation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from qcorolla.errors import (
     WeightOutOfRangeError,
     ZeroVectorError,
 )
-from qcorolla.qla import make_state, partial_trace, outer, basis_state
+from qcorolla.qla import basis_state, entanglement_entropy, make_state, outer, partial_trace
 from qcorolla.qusym import vocabulary_from_symbols
 
 
@@ -158,12 +159,11 @@ def test_synthesize_basis_out_of_range():
 
 
 def test_joint_state_validates_target():
-    bell = make_state([1, 0, 0, 1])
     voc = vocabulary_from_symbols(["x:A", "x:B"])
     with pytest.raises(WeightOutOfRangeError):
-        JointState(bell, (2, 2), voc, voc, target_entropy=1.2)
-    with pytest.raises(ValueError):
-        JointState(bell, (2, 2), voc, voc, target_entropy=0.3)
+        JointState(0.5, (0, 1, 0, 1), (2, 2), (voc, voc), target_entropy=1.2)
+    with pytest.raises(ValueError, match="misses target"):
+        JointState(0.5, (0, 1, 0, 1), (2, 2), (voc, voc), target_entropy=0.3)
 
 
 def test_maximally_entangled_reduction_is_balanced():
@@ -174,6 +174,78 @@ def test_maximally_entangled_reduction_is_balanced():
         eigs = np.sort(np.linalg.eigvalsh(reduced.entries))[::-1]
         assert np.allclose(eigs[:2], [0.5, 0.5], atol=1e-9)
         assert np.allclose(eigs[2:], 0.0, atol=1e-12)
+
+
+# --- closed form against the dense qla oracle ------------------------------------
+
+def random_joint(rng, lam: float) -> JointState:
+    """A two-term state with random d_L, d_R <= 64 and random support indices."""
+    dl, dr = (int(d) for d in rng.integers(2, 65, size=2))
+    il, jl = (int(i) for i in rng.choice(dl, 2, replace=False))
+    ir, jr = (int(i) for i in rng.choice(dr, 2, replace=False))
+    left = vocabulary_from_symbols([f"x:L{i}" for i in range(dl)])
+    right = vocabulary_from_symbols([f"x:R{i}" for i in range(dr)])
+    return JointState(lam, (il, jl, ir, jr), (dl, dr), (left, right), binary_entropy(lam))
+
+
+def oracle_lambdas(rng, count):
+    """λ = 0, λ = 1 and random λ in turn."""
+    return [(0.0, 1.0, float(rng.uniform()))[k % 3] for k in range(count)]
+
+
+@pytest.mark.parametrize("base", [2.0, 3.0, 10.0])
+def test_measure_entanglement_matches_dense_oracle(base):
+    rng = np.random.default_rng(59)
+    for lam in oracle_lambdas(rng, 90):
+        joint = random_joint(rng, lam)
+        dense = entanglement_entropy(joint.state, joint.dims, base)
+        assert measure_entanglement(joint, base) == pytest.approx(dense, abs=1e-12)
+
+
+def test_measure_joint_matches_dense_oracle():
+    rng = np.random.default_rng(61)
+    for trial, lam in enumerate(oracle_lambdas(rng, 600)):
+        joint = random_joint(rng, lam)
+        shots = int(rng.integers(1, 200_000))
+        assert measure(joint, shots, seed=trial) == measure(joint.state, shots, seed=trial)
+
+
+def test_joint_state_support_matches_dense_amplitudes():
+    rng = np.random.default_rng(67)
+    for lam in oracle_lambdas(rng, 30):
+        joint = random_joint(rng, lam)
+        dense = {i: a for i, a in enumerate(joint.state.amplitudes) if a != 0}
+        assert dense == {i: a for i, a in joint.support() if a != 0}
+        assert [i for i, _ in joint.support()] == sorted(i for i, _ in joint.support())
+
+
+def test_wide_vocabulary_never_builds_dense_amplitudes(monkeypatch):
+    d = 20_000
+    voc = vocabulary_from_symbols([f"x:S{i}" for i in range(d)])
+    registry = ConverseRegistry()
+    registry.register_converse("rel:F", "rel:B", 0.4)
+    graph = CorollaGraph(voc, registry)
+    tid = graph.join(graph.make_corolla("x:S7", "rel:F"), graph.make_corolla(f"x:S{d - 1}", "rel:B"))
+    monkeypatch.setattr(JointState, "state", property(lambda _: pytest.fail("dense amplitudes built")))
+    tracemalloc.start()
+    try:
+        joint = synthesize_joint_state(graph, tid)
+        entropy = measure_entanglement(joint)
+        record = measure(joint, shots=10_000, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the dense state alone would take d² · 16 B = 6.4 GB
+    assert joint.dims == (d, d)
+    assert entropy == pytest.approx(0.4, abs=1e-6)
+    assert sum(record.counts.values()) == 10_000
+    assert set(record.counts) == {7 * d + 7, (d - 1) * d + d - 1}
+
+
+def test_measure_rejects_out_of_range_shots():
+    for shots in (0, 2**63, 10**20):
+        with pytest.raises(ValueError, match="shots"):
+            measure(basis_state(2, 0), shots=shots, seed=1)
 
 
 # --- Bell states -----------------------------------------------------------------

@@ -26,6 +26,7 @@ from qcorolla.qla import (
     schmidt,
     states_equal,
     tensor,
+    uniform_entropy,
     von_neumann_entropy,
 )
 
@@ -220,6 +221,25 @@ def test_von_neumann_base_d_unit(d):
 def test_von_neumann_rejects_base_one():
     with pytest.raises(ValueError):
         von_neumann_entropy(DensityMatrix(np.eye(2) / 2), 1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16, 64])
+def test_uniform_entropy_matches_maximally_mixed(d):
+    rho = DensityMatrix(np.eye(d) / d)
+    for base in (2.0, 3.0, 10.0, float(max(d, 2))):
+        assert uniform_entropy(d, base) == pytest.approx(von_neumann_entropy(rho, base), abs=1e-12)
+    with pytest.raises(ValueError):
+        uniform_entropy(d, 1.0)
+
+
+def test_density_matrix_decomposes_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append(mat) or eigvalsh(mat))
+    rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
+    assert np.allclose(rho.eigenvalues(), [0.25, 0.75])
+    von_neumann_entropy(rho)
+    assert len(calls) == 1
 
 
 def test_von_neumann_unitary_invariance():
