@@ -49,10 +49,9 @@ Triple = Tuple[str, str, str]
 
 @dataclass(frozen=True)
 class NodeRef:
-    """A node symbol tied to the vocabulary it was drawn from."""
+    """A node symbol of the graph."""
 
     symbol: str
-    vocabulary_id: str
 
 
 @dataclass(frozen=True)
@@ -122,6 +121,7 @@ class ConverseRegistry:
     def __init__(self):
         self._forward: Dict[str, Tuple[str, float]] = {}
         self._backward: Dict[str, str] = {}
+        self._directed: Dict[str, DirectedPredicate] = {}
 
     def register_converse(self, forward: str, backward: str, total_weight: float) -> "ConverseRegistry":
         """Bind a converse pair; forward gets +total/2, backward -total/2."""
@@ -134,16 +134,15 @@ class ConverseRegistry:
                 raise AlreadyRegisteredError(f"predicate {name!r} already registered")
         self._forward[forward] = (backward, total_weight)
         self._backward[backward] = forward
+        self._directed[forward] = DirectedPredicate(forward, total_weight / 2.0, FORWARD)
+        self._directed[backward] = DirectedPredicate(backward, -total_weight / 2.0, BACKWARD)
         return self
-
-    def is_forward(self, name: str) -> bool:
-        return name in self._forward
 
     def is_backward(self, name: str) -> bool:
         return name in self._backward
 
     def __contains__(self, name: str) -> bool:
-        return name in self._forward or name in self._backward
+        return name in self._directed
 
     def forward_name(self, name: str) -> str:
         """Canonical (forward) name of either side of a pair."""
@@ -164,11 +163,11 @@ class ConverseRegistry:
         return self._forward[self.forward_name(name)][1]
 
     def directed(self, name: str) -> DirectedPredicate:
-        """The signed directed predicate for either name of a pair."""
-        half = self.total_weight(name) / 2.0
-        if self.is_forward(name):
-            return DirectedPredicate(name, +half, FORWARD)
-        return DirectedPredicate(name, -half, BACKWARD)
+        """The signed directed predicate for either name of a pair, one object per name."""
+        try:
+            return self._directed[name]
+        except KeyError:
+            raise UnknownPredicateError(f"predicate {name!r} not registered") from None
 
     def pairs(self) -> Iterator[Tuple[str, str, float]]:
         """(forward, backward, total_weight) triples in registration order."""
@@ -188,6 +187,13 @@ def converse_statement(registry: ConverseRegistry, triple: Triple) -> Triple:
 class CorollaGraph:
     """Half-edge graph over a node vocabulary and a converse registry.
 
+    One index per fact: ``_nodes`` (symbol -> NodeRef), ``_owned`` (symbol
+    -> its half-edge ids, ascending), ``_half_edges`` (id -> Corolla),
+    ``_edge_of`` (paired half-edge id -> triple id), ``_triples`` (triple id
+    -> forward and backward half-edge ids), ``_triple_keys`` ((s, p, o) ->
+    triple id). The involution is derived from ``_edge_of`` and ``_triples``.
+    Mutations cost O(1); ``half_edges_of`` and ``corollas_of`` O(degree).
+
     Single-writer / multi-reader: mutations need exclusive access.
     """
 
@@ -195,8 +201,9 @@ class CorollaGraph:
         self.node_vocabulary = node_vocabulary
         self.registry = registry
         self._nodes: Dict[str, NodeRef] = {}
+        self._owned: Dict[str, List[int]] = {}
         self._half_edges: Dict[int, Corolla] = {}
-        self._involution: Dict[int, int] = {}
+        self._edge_of: Dict[int, str] = {}
         self._triples: Dict[str, Tuple[int, int]] = {}
         self._triple_keys: Dict[Triple, str] = {}
         self._next_half_edge = 1
@@ -206,10 +213,11 @@ class CorollaGraph:
 
     def add_node(self, symbol: str) -> NodeRef:
         """Register a node of the graph; idempotent per symbol."""
-        if symbol not in self.node_vocabulary:
-            raise UnknownNodeSymbolError(f"node symbol {symbol!r} not in vocabulary")
         if symbol not in self._nodes:
-            self._nodes[symbol] = NodeRef(symbol, self.node_vocabulary.content_id)
+            if symbol not in self.node_vocabulary:
+                raise UnknownNodeSymbolError(f"node symbol {symbol!r} not in vocabulary")
+            self._nodes[symbol] = NodeRef(symbol)
+            self._owned[symbol] = []
         return self._nodes[symbol]
 
     def nodes(self) -> Tuple[NodeRef, ...]:
@@ -227,30 +235,43 @@ class CorollaGraph:
         The predicate may be either side of a registered pair; its sign
         follows its direction.
         """
-        symbol = node.symbol if isinstance(node, NodeRef) else node
-        ref = self.add_node(symbol)
-        if predicate_name not in self.registry:
-            raise UnknownPredicateError(f"predicate {predicate_name!r} not registered")
+        ref = self.add_node(node.symbol if isinstance(node, NodeRef) else node)
         corolla = Corolla(ref, self.registry.directed(predicate_name), self._next_half_edge)
         self._half_edges[corolla.half_edge_id] = corolla
+        self._owned[ref.symbol].append(corolla.half_edge_id)
         self._next_half_edge += 1
         return corolla
 
+    def half_edges_of(self, node: NodeRef | str) -> Tuple[Corolla, ...]:
+        """The half-edges a node owns, paired or not, in ascending id order."""
+        symbol = node.symbol if isinstance(node, NodeRef) else node
+        if symbol not in self._owned:
+            raise UnknownNodeError(f"node {symbol!r} not in graph")
+        return tuple(self._half_edges[h] for h in self._owned[symbol])
+
     def corollas_of(self, node: NodeRef | str) -> Set[Corolla]:
         """All half-edges owned by a node, paired or not."""
-        symbol = node.symbol if isinstance(node, NodeRef) else node
-        if symbol not in self._nodes:
-            raise UnknownNodeError(f"node {symbol!r} not in graph")
-        return {c for c in self._half_edges.values() if c.node.symbol == symbol}
+        return set(self.half_edges_of(node))
 
     def partner_of(self, corolla: Corolla) -> Corolla | None:
         """The involution image of a half-edge, or None while unpaired."""
-        partner_id = self._involution.get(corolla.half_edge_id)
-        return None if partner_id is None else self._half_edges[partner_id]
+        image = self._image(corolla.half_edge_id)
+        return None if image is None else self._half_edges[image]
+
+    def edge_of(self, corolla: Corolla) -> str | None:
+        """Id of the triple a half-edge belongs to, or None while unpaired."""
+        return self._edge_of.get(corolla.half_edge_id)
 
     def involution(self) -> Dict[int, int]:
-        """Copy of the half-edge pairing map (both directions of every edge)."""
-        return dict(self._involution)
+        """The half-edge pairing map (both directions of every edge)."""
+        return {f: self._image(f) for f in self._edge_of}
+
+    def _image(self, half_edge_id: int) -> int | None:
+        triple_id = self._edge_of.get(half_edge_id)
+        if triple_id is None:
+            return None
+        left_id, right_id = self._triples[triple_id]
+        return right_id if half_edge_id == left_id else left_id
 
     @property
     def half_edge_count(self) -> int:
@@ -271,7 +292,7 @@ class CorollaGraph:
         if left.half_edge_id == right.half_edge_id:
             raise SelfJoinError("cannot join a corolla with itself")
         for corolla in (left, right):
-            if corolla.half_edge_id in self._involution:
+            if corolla.half_edge_id in self._edge_of:
                 raise AlreadyPairedError(f"half-edge {corolla.half_edge_id} already paired")
 
         lp, rp = left.predicate, right.predicate
@@ -292,8 +313,8 @@ class CorollaGraph:
 
         triple_id = f"t{self._next_triple}"
         self._next_triple += 1
-        self._involution[left.half_edge_id] = right.half_edge_id
-        self._involution[right.half_edge_id] = left.half_edge_id
+        self._edge_of[left.half_edge_id] = triple_id
+        self._edge_of[right.half_edge_id] = triple_id
         self._triples[triple_id] = (left.half_edge_id, right.half_edge_id)
         self._triple_keys[key] = triple_id
         return triple_id
@@ -302,10 +323,7 @@ class CorollaGraph:
 
     def triple(self, triple_id: str) -> Triple:
         """The stored orientation (subject, forward predicate, object)."""
-        if triple_id not in self._triples:
-            raise UnknownTripleError(f"no triple {triple_id!r}")
-        left_id, right_id = self._triples[triple_id]
-        left, right = self._half_edges[left_id], self._half_edges[right_id]
+        left, right = self.edge_corollas(triple_id)
         return (left.node.symbol, left.predicate.name, right.node.symbol)
 
     def converse_of(self, triple_id: str) -> Triple:
@@ -343,11 +361,12 @@ class CorollaGraph:
         ``WEIGHT_TOL``. Weight-0 edges are flagged as inert warnings.
         """
         report = ValidationReport()
-        report.unpaired = sorted(set(self._half_edges) - set(self._involution))
-        for f, f_prime in self._involution.items():
+        involution = self.involution()
+        report.unpaired = sorted(set(self._half_edges) - set(involution))
+        for f, f_prime in involution.items():
             if f_prime == f:
                 report.involution_violations.append(f"involution fixed point at half-edge {f}")
-            elif self._involution.get(f_prime) != f:
+            elif involution.get(f_prime) != f:
                 report.involution_violations.append(
                     f"involution not self-inverse at half-edge {f}"
                 )
@@ -389,7 +408,7 @@ def load_registry(path: str | Path) -> ConverseRegistry:
     ``#`` lines are comments; predicate names use the namespaced token form.
     """
     registry = ConverseRegistry()
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -71,7 +71,6 @@ class JointState:
     lam: float
     basis: BasisChoice
     dims: Tuple[int, int]
-    vocabularies: Tuple[Vocabulary, Vocabulary]
     target_entropy: float
     triple_id: str | None = None
 
@@ -198,7 +197,6 @@ def synthesize_joint_state(
         lam=invert_binary_entropy(target),
         basis=tuple(basis),
         dims=(voc.d, voc.d),
-        vocabularies=(voc, voc),
         target_entropy=target,
         triple_id=triple_id,
     )

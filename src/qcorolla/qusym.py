@@ -9,7 +9,6 @@ string length at fixed base versus growth with base at fixed length).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,12 +55,6 @@ class Vocabulary:
     @property
     def d(self) -> int:
         return len(self.entries)
-
-    @property
-    def content_id(self) -> str:
-        """Stable short digest of the entry list, used to tag node references."""
-        payload = "\n".join(self.entries).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()[:12]
 
     def index(self, symbol: str) -> int:
         try:
@@ -232,7 +225,7 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     and that position is the basis index.
     """
     symbols = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

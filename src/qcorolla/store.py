@@ -4,9 +4,10 @@ Source files use an N-Triples-like line grammar::
 
     subject WS predicate WS object WS? '.'
 
-where every token is a namespaced symbol ``ns:Value`` matching
-``[A-Za-z][A-Za-z0-9_]*:[A-Za-z0-9_]+``. ``#`` lines are comments. Only
-forward predicate names are legal in the predicate position; a statement
+where WS is one or more spaces or tabs and every token is a namespaced
+symbol ``ns:Value`` matching ``[A-Za-z][A-Za-z0-9_]*:[A-Za-z0-9_]+``.
+``#`` lines are comments, and a leading UTF-8 byte-order mark is skipped.
+Only forward predicate names are legal in the predicate position; a statement
 whose predicate is a backward name is accepted only as the converse
 reading of an edge already in the graph, and is folded into that edge
 rather than creating a new one.
@@ -87,7 +88,8 @@ def parse_triple_line(line: str, lineno: int = 1) -> Statement | None:
     body = body[:-1]
     tokens: List[Tuple[str, int]] = []
     column = 1
-    for part in body.split(" "):
+    # a tab is one column wide, so swapping it for a space keeps every column
+    for part in body.replace("\t", " ").split(" "):
         if part:
             tokens.append((part, column))
         column += len(part) + 1
@@ -114,7 +116,7 @@ def parse_triples_text(text: str) -> TripleDocument:
 
 
 def load_triples(path: str | Path) -> TripleDocument:
-    return parse_triples_text(Path(path).read_text(encoding="utf-8"))
+    return parse_triples_text(Path(path).read_text(encoding="utf-8-sig"))
 
 
 @dataclass
@@ -211,17 +213,12 @@ class NodeReport:
 
 
 def query_node(graph: CorollaGraph, symbol: str) -> NodeReport:
-    """Owned corollas, their partners, and both orientations of each triple."""
+    """Owned corollas in id order, their partners, and both orientations of each triple."""
     views = []
-    readings = []
-    for corolla in sorted(graph.corollas_of(symbol), key=lambda c: c.half_edge_id):
+    readings = {}  # triple id -> (forward, converse); a self-loop's two ends share one
+    for corolla in graph.half_edges_of(symbol):
         partner = graph.partner_of(corolla)
-        triple_id = None
-        if partner is not None:
-            forward = corolla if corolla.predicate.direction == "forward" else partner
-            triple_id = graph.triple_id_of(
-                (forward.node.symbol, forward.predicate.name, graph.partner_of(forward).node.symbol)
-            )
+        triple_id = graph.edge_of(corolla)
         views.append(
             CorollaView(
                 predicate=corolla.predicate.name,
@@ -231,17 +228,10 @@ def query_node(graph: CorollaGraph, symbol: str) -> NodeReport:
                 triple_id=triple_id,
             )
         )
-        if triple_id is not None:
-            readings.append(graph.triple(triple_id))
-            readings.append(graph.converse_of(triple_id))
-    # deduplicate readings while preserving order (a node may own both ends)
-    seen = set()
-    unique_readings = []
-    for reading in readings:
-        if reading not in seen:
-            seen.add(reading)
-            unique_readings.append(reading)
-    return NodeReport(symbol=symbol, corollas=tuple(views), readings=tuple(unique_readings))
+        if triple_id is not None and triple_id not in readings:
+            readings[triple_id] = (graph.triple(triple_id), graph.converse_of(triple_id))
+    flat = tuple(reading for pair in readings.values() for reading in pair)
+    return NodeReport(symbol=symbol, corollas=tuple(views), readings=flat)
 
 
 # -- export -------------------------------------------------------------------

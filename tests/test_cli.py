@@ -56,6 +56,15 @@ def test_query_node(store_dir, capsys):
     assert "person:Alice kin:ChildOf person:Bob ." in out
 
 
+def test_query_unknown_node_exits_one(store_dir, capsys):
+    code = cli_dispatch(["query", "person:Zed", "--store", str(store_dir)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "person:Zed" in err
+    assert "Traceback" not in err
+
+
 def test_entangle_emits_state_json(store_dir, capsys):
     # snapshots sort triples, so t2 is the ParentOf edge (weight 0.4)
     code = cli_dispatch(["entangle", "t2", "--store", str(store_dir)])

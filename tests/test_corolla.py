@@ -238,6 +238,54 @@ def test_corollas_of_unknown_node():
         fresh_graph().corollas_of("person:Zed")
 
 
+def test_vocabulary_symbol_outside_graph_is_unknown_node():
+    graph = fresh_graph()
+    graph.add_node("person:Bob")
+    for lookup in (graph.corollas_of, graph.half_edges_of):
+        with pytest.raises(UnknownNodeError):
+            lookup("person:Mary")
+
+
+def test_half_edges_of_in_ascending_id_order():
+    graph = build_kinship_graph()
+    dangling = graph.make_corolla("person:Bob", "kin:WifeOf")
+    ids = [c.half_edge_id for c in graph.half_edges_of("person:Bob")]
+    assert ids == [1, 3, dangling.half_edge_id]
+    assert graph.edge_of(dangling) is None
+    assert graph.partner_of(dangling) is None
+
+
+def test_self_loop_node_owns_both_half_edges():
+    graph = fresh_graph()
+    left = graph.make_corolla("person:Bob", "kin:ParentOf")
+    right = graph.make_corolla("person:Bob", "kin:ChildOf")
+    tid = graph.join(left, right)
+    assert graph.half_edges_of("person:Bob") == (left, right)
+    assert graph.edge_of(left) == graph.edge_of(right) == tid
+    assert graph.partner_of(left) is right and graph.partner_of(right) is left
+
+
+def test_directed_predicate_shared_per_name():
+    registry = kinship_registry()
+    assert registry.directed("kin:ParentOf") is registry.directed("kin:ParentOf")
+    graph = CorollaGraph(vocabulary_from_symbols(["person:Bob", "person:Alice"]), registry)
+    first = graph.make_corolla("person:Bob", "kin:ChildOf")
+    second = graph.make_corolla("person:Alice", "kin:ChildOf")
+    assert first.predicate is second.predicate is registry.directed("kin:ChildOf")
+
+
+def scanned_corollas(graph, symbol):
+    """Brute-force oracle: every half-edge whose owner is ``symbol``, in id order."""
+    return [c for _, c in sorted(graph._half_edges.items()) if c.node.symbol == symbol]
+
+
+def assert_index_matches_scan(graph):
+    for node in graph.nodes():
+        scanned = scanned_corollas(graph, node.symbol)
+        assert graph.corollas_of(node) == set(scanned)
+        assert list(graph.half_edges_of(node.symbol)) == scanned
+
+
 # --- validation -------------------------------------------------------------------------
 
 def test_validate_kinship_graph_clean():
@@ -290,6 +338,21 @@ def test_involution_laws_random_graphs(n_triples, seed):
     assert all(involution[f] != f for f in involution)
     assert graph.edge_count * 2 == len(involution)
     assert graph.validate().is_valid or graph.half_edge_count == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=2**31))
+def test_node_index_matches_scan_random_graphs(n_triples, seed):
+    graph = build_random_graph(n_triples, seed) if n_triples else fresh_graph()
+    # an unpaired half-edge and a node with no half-edges are indexed too
+    forward, _, _ = next(graph.registry.pairs())
+    graph.make_corolla(graph.node_vocabulary.symbol(0), forward)
+    graph.add_node(graph.node_vocabulary.symbol(1))
+    assert_index_matches_scan(graph)
+
+
+def test_node_index_matches_scan_large_graph(large_random_graph):
+    assert_index_matches_scan(large_random_graph)
 
 
 def test_edge_conservation_large_graph(large_random_graph):

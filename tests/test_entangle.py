@@ -159,11 +159,10 @@ def test_synthesize_basis_out_of_range():
 
 
 def test_joint_state_validates_target():
-    voc = vocabulary_from_symbols(["x:A", "x:B"])
     with pytest.raises(WeightOutOfRangeError):
-        JointState(0.5, (0, 1, 0, 1), (2, 2), (voc, voc), target_entropy=1.2)
+        JointState(0.5, (0, 1, 0, 1), (2, 2), target_entropy=1.2)
     with pytest.raises(ValueError, match="misses target"):
-        JointState(0.5, (0, 1, 0, 1), (2, 2), (voc, voc), target_entropy=0.3)
+        JointState(0.5, (0, 1, 0, 1), (2, 2), target_entropy=0.3)
 
 
 def test_maximally_entangled_reduction_is_balanced():
@@ -183,9 +182,7 @@ def random_joint(rng, lam: float) -> JointState:
     dl, dr = (int(d) for d in rng.integers(2, 65, size=2))
     il, jl = (int(i) for i in rng.choice(dl, 2, replace=False))
     ir, jr = (int(i) for i in rng.choice(dr, 2, replace=False))
-    left = vocabulary_from_symbols([f"x:L{i}" for i in range(dl)])
-    right = vocabulary_from_symbols([f"x:R{i}" for i in range(dr)])
-    return JointState(lam, (il, jl, ir, jr), (dl, dr), (left, right), binary_entropy(lam))
+    return JointState(lam, (il, jl, ir, jr), (dl, dr), binary_entropy(lam))
 
 
 def oracle_lambdas(rng, count):

@@ -1,9 +1,14 @@
 """Parsers, ingestion with converse folding, queries, export, snapshots."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import build_random_graph
 
 from qcorolla.errors import (
     BackwardPredicateInSubjectPositionError,
@@ -13,6 +18,8 @@ from qcorolla.errors import (
     UnknownPredicateError,
 )
 from qcorolla.store import (
+    CorollaView,
+    NodeReport,
     Statement,
     TripleDocument,
     export_jsonl,
@@ -72,6 +79,22 @@ def test_parse_tolerates_crlf_and_padding():
     assert statement.triple == ("person:Bob", "kin:ParentOf", "person:Alice")
 
 
+def test_parse_accepts_tab_separators():
+    statement = parse_triple_line("a:X\tr:F\ta:Y .")
+    assert statement.triple == ("a:X", "r:F", "a:Y")
+    statement = parse_triple_line("\ta:X \t r:F\t\ta:Y\t.")
+    assert statement.triple == ("a:X", "r:F", "a:Y")
+
+
+def test_parse_reports_column_of_bad_token_after_tab():
+    with pytest.raises(MalformedTokenError) as excinfo:
+        parse_triple_line("a:X\tF\ta:Y .", lineno=4)
+    assert (excinfo.value.line, excinfo.value.column) == (4, 5)
+    with pytest.raises(MalformedTokenError) as excinfo:
+        parse_triple_line("a:X \t\tr:F\ta:Y\tb:Z .")
+    assert excinfo.value.column == 15
+
+
 def test_parse_serialize_idempotent_corpus():
     rng = np.random.default_rng(61)
     lines = [
@@ -91,6 +114,17 @@ def test_parse_rejects_exactly_bad_lines():
     with pytest.raises(MalformedTokenError) as excinfo:
         parse_triples_text(text)
     assert excinfo.value.line == 2
+
+
+@pytest.mark.parametrize("kind", ["vocabulary", "registry", "triples"])
+def test_ingest_skips_byte_order_mark(kinship_paths, kind):
+    paths = dict(zip(("vocabulary", "registry", "triples"), kinship_paths))
+    path = paths[kind]
+    # drop the comments so that the mark sits right before the first entry
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
+    path.write_text("\ufeff" + "\n".join(lines) + "\n", encoding="utf-8")
+    result = ingest(*kinship_paths)
+    assert (result.statements, result.graph.node_count, result.graph.edge_count) == (4, 3, 2)
 
 
 # --- ingestion -----------------------------------------------------------------
@@ -159,6 +193,26 @@ def test_ingest_every_statement_yields_one_edge():
     assert result.graph.validate().is_valid
 
 
+def test_ingest_computes_no_digest(tmp_path, monkeypatch):
+    d, nodes = 20_000, 2_000
+    rng = np.random.default_rng(83)
+    vocab, registry, triples = (tmp_path / n for n in ("voc.txt", "reg.txt", "triples.nt"))
+    vocab.write_text("".join(f"n:X{i}\n" for i in range(d)), encoding="utf-8")
+    registry.write_text("r:F <-> r:B = 0.5\n", encoding="utf-8")
+    triples.write_text(
+        "".join(f"n:X{i} r:F n:X{rng.integers(nodes)} .\n" for i in range(nodes)),
+        encoding="utf-8",
+    )
+
+    def no_digest(*args, **kwargs):
+        raise AssertionError("ingest computed a sha256 digest")
+
+    monkeypatch.setattr(hashlib, "sha256", no_digest)
+    graph = ingest(vocab, registry, triples).graph
+    assert (graph.node_count, graph.edge_count) == (nodes, nodes)
+    assert graph.validate().is_valid
+
+
 # --- queries -----------------------------------------------------------------------
 
 def test_query_bob_lists_both_corollas(kinship_paths):
@@ -187,6 +241,66 @@ def test_query_unknown_node(kinship_paths):
 
     with pytest.raises(UnknownNodeError):
         query_node(graph, "person:Zed")
+
+
+def test_query_self_loop_lists_both_half_edges_once():
+    voc = vocabulary_from_symbols(["a:X", "a:Y"])
+    registry = ConverseRegistry().register_converse("r:F", "r:B", 0.5)
+    graph = ingest_document(voc, registry, parse_triples_text("a:X r:F a:X .\n")).graph
+    report = query_node(graph, "a:X")
+    assert [(v.predicate, v.partner, v.triple_id) for v in report.corollas] == [
+        ("r:F", "a:X", "t1"),
+        ("r:B", "a:X", "t1"),
+    ]
+    assert report.readings == (("a:X", "r:F", "a:X"), ("a:X", "r:B", "a:X"))
+
+
+def scan_and_sort_query_node(graph, symbol):
+    """Oracle: the query as a scan of every half-edge, sorted by id, with each
+    triple id looked up by its (s, p, o) key and the readings deduplicated."""
+    views = []
+    readings = []
+    owned = [c for c in graph._half_edges.values() if c.node.symbol == symbol]
+    for corolla in sorted(owned, key=lambda c: c.half_edge_id):
+        partner = graph.partner_of(corolla)
+        triple_id = None
+        if partner is not None:
+            forward = corolla if corolla.predicate.direction == "forward" else partner
+            triple_id = graph.triple_id_of(
+                (forward.node.symbol, forward.predicate.name, graph.partner_of(forward).node.symbol)
+            )
+        views.append(
+            CorollaView(
+                predicate=corolla.predicate.name,
+                direction=corolla.predicate.direction,
+                half_weight=corolla.predicate.half_weight,
+                partner=None if partner is None else partner.node.symbol,
+                triple_id=triple_id,
+            )
+        )
+        if triple_id is not None:
+            readings.append(graph.triple(triple_id))
+            readings.append(graph.converse_of(triple_id))
+    unique_readings = tuple(dict.fromkeys(readings))
+    return NodeReport(symbol=symbol, corollas=tuple(views), readings=unique_readings)
+
+
+def assert_query_matches_scan(graph):
+    for node in graph.nodes():
+        expected = scan_and_sort_query_node(graph, node.symbol)
+        assert query_node(graph, node.symbol).lines() == expected.lines()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=2**31))
+def test_query_node_matches_scan_random_graphs(n_triples, seed):
+    graph = build_random_graph(n_triples, seed)
+    graph.make_corolla("ns:N000", "rel:B00")  # one unpaired half-edge
+    assert_query_matches_scan(graph)
+
+
+def test_query_node_matches_scan_large_graph(large_random_graph):
+    assert_query_matches_scan(large_random_graph)
 
 
 # --- export ---------------------------------------------------------------------------
