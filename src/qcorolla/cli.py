@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 validation/data failure, 2 usage error. All
 diagnostics go to stderr; machine-readable data goes to stdout. The only
 entropy source is the ``--seed`` flag, so identical invocations produce
 identical output.
+
+Each handler imports only the layers its command runs: the store commands
+and the closed-form ``entangle`` and ``entropy`` start without numpy, which
+only ``measure``, ``bind`` and ``round`` load.
 """
 
 from __future__ import annotations
@@ -12,13 +16,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import entangle, qusym, store, vsa
+from . import qusym, store
 from .errors import QcorollaError
-from .qla import uniform_entropy
-# unused here; kept because perfbench/tracing.py rebinds these module-level names
-from .qla import entanglement_entropy, von_neumann_entropy  # noqa: F401
 
 
 def basis_indices(text: str) -> tuple:
@@ -135,6 +134,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_entangle(args) -> int:
+    from . import entangle
+
     graph = store.load_snapshot(args.store)
     joint = entangle.synthesize_joint_state(graph, args.triple, basis_choice=args.basis)
     # the synthesized amplitudes are real, and only the two Schmidt terms can be nonzero
@@ -153,6 +154,8 @@ def _cmd_entangle(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    from . import entangle
+
     graph = store.load_snapshot(args.store)
     joint = entangle.synthesize_joint_state(graph, args.triple)
     record = entangle.measure(joint, shots=args.shots, seed=args.seed)
@@ -163,15 +166,19 @@ def _cmd_measure(args) -> int:
 def _cmd_entropy(args) -> int:
     graph = store.load_snapshot(args.store)
     if args.triple:
+        from . import entangle
+
         joint = entangle.synthesize_joint_state(graph, args.triple)
         value = entangle.measure_entanglement(joint, base=args.base)
     else:
-        value = uniform_entropy(graph.node_vocabulary.d, base=args.base)
+        value = qusym.uniform_entropy(graph.node_vocabulary.d, base=args.base)
     print(f"{value:.6f}")
     return 0
 
 
 def _cmd_bind(args) -> int:
+    from . import vsa
+
     a = vsa.HyperVector.from_hex(args.a)
     b = vsa.HyperVector.from_hex(args.b)
     if args.xor:
@@ -190,8 +197,10 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_round(args) -> int:
+    from . import entangle
+
     voc = qusym.load_vocabulary(args.vocab)
-    symbol, fidelity = entangle.tessellate_round(np.array(args.vector), voc)
+    symbol, fidelity = entangle.tessellate_round(args.vector, voc)
     print(f"{symbol} {fidelity:.6f}")
     return 0
 
@@ -221,6 +230,15 @@ def cli_dispatch(argv: list[str]) -> int:
     except (QcorollaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def __getattr__(name: str):
+    # perfbench/tracing.py rebinds these two names; serve them from qla on demand
+    if name in ("entanglement_entropy", "von_neumann_entropy"):
+        from . import qla
+
+        return getattr(qla, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main() -> None:

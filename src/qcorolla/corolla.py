@@ -37,7 +37,7 @@ from .errors import (
     WeightOutOfRangeError,
     WrongOrientationError,
 )
-from .qusym import Vocabulary
+from .qusym import TOKEN_PATTERN, Vocabulary
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -399,7 +399,6 @@ class CorollaGraph:
 _REGISTRY_LINE = re.compile(
     r"^\s*(?P<fwd>\S+)\s*<->\s*(?P<bwd>\S+)\s*=\s*(?P<weight>[0-9.eE+-]+)\s*$"
 )
-_TOKEN = re.compile(r"^[A-Za-z][A-Za-z0-9_]*:[A-Za-z0-9_]+$")
 
 
 def load_registry(path: str | Path) -> ConverseRegistry:
@@ -419,7 +418,7 @@ def load_registry(path: str | Path) -> ConverseRegistry:
             )
         fwd, bwd = match.group("fwd"), match.group("bwd")
         for name in (fwd, bwd):
-            if not _TOKEN.match(name):
+            if not TOKEN_PATTERN.fullmatch(name):
                 raise MalformedTokenError(
                     f"predicate {name!r} is not a namespaced token", lineno, raw.find(name) + 1
                 )

@@ -11,7 +11,9 @@ Bell-state assignment, seeded projective measurement sampling, and the
 tessellated rounding of noisy vectors onto a vocabulary basis.
 
 All randomness flows through ``numpy.random.default_rng(seed)`` (PCG64),
-seeded per call; there is no global generator state.
+seeded per call; there is no global generator state. The closed-form
+layer (synthesis and entropy) is plain Python: numpy and ``qla`` are
+imported only by the functions that build or sample dense vectors.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
 
 from .corolla import CorollaGraph
 from .errors import (
@@ -31,10 +31,12 @@ from .errors import (
     WeightOutOfRangeError,
     ZeroVectorError,
 )
-from .qla import StateVector, fidelity, shannon_entropy
-# unused here; kept because perfbench/tracing.py rebinds this module-level name
-from .qla import entanglement_entropy  # noqa: F401
-from .qusym import Vocabulary
+from .qusym import Vocabulary, log_of_base
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .qla import StateVector
 
 ENTROPY_TOL = 1e-6
 
@@ -104,6 +106,10 @@ class JointState:
     @functools.cached_property
     def state(self) -> StateVector:
         """The dense joint state over all ``d_L·d_R`` basis products."""
+        import numpy as np
+
+        from .qla import StateVector
+
         amps = np.zeros(self.dims[0] * self.dims[1], dtype=complex)
         for index, amplitude in self.support():
             amps[index] = amplitude
@@ -204,12 +210,18 @@ def synthesize_joint_state(
 
 def measure_entanglement(joint: JointState, base: float = 2.0) -> float:
     """Entanglement entropy of the joint state: the entropy of its Schmidt weights."""
-    _, amplitudes = zip(*joint.support())
-    return shannon_entropy(np.square(amplitudes), base)
+    total = 0.0
+    for _, amplitude in joint.support():
+        weight = amplitude * amplitude
+        if weight > 0.0:
+            total -= weight * math.log(weight)
+    return total / log_of_base(base) + 0.0  # never -0.0
 
 
 def bell_states() -> Tuple[BellState, BellState, BellState, BellState]:
     """The four Bell states Φ± = (|00⟩ ± |11⟩)/√2, Ψ± = (|01⟩ ± |10⟩)/√2."""
+    from .qla import StateVector
+
     r = 1.0 / math.sqrt(2.0)
     return (
         BellState("phi+", StateVector([r, 0, 0, r])),
@@ -244,6 +256,8 @@ def measure(state: StateVector | JointState, shots: int, seed: int) -> Measureme
     ``state`` for the same seed. Identical seeds give identical records.
     Only outcomes that occurred appear in ``counts``.
     """
+    import numpy as np
+
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
     if isinstance(state, JointState):
@@ -267,6 +281,8 @@ def tessellate_round(
     Returns the symbol whose basis state maximizes the fidelity |⟨i|ψ⟩|²
     together with that fidelity; ties break to the lowest index.
     """
+    import numpy as np
+
     amps = np.asarray(noisy, dtype=complex)
     if amps.ndim != 1 or amps.size != voc.d:
         raise DimensionMismatchError(f"vector length {amps.size} != vocabulary size {voc.d}")
@@ -280,4 +296,15 @@ def tessellate_round(
 
 def bell_fidelity(a: BellState, b: BellState) -> float:
     """Squared overlap between two Bell states (0 for distinct labels)."""
+    from .qla import fidelity
+
     return fidelity(a.state, b.state)
+
+
+def __getattr__(name: str):
+    # perfbench/tracing.py rebinds ``entangle.entanglement_entropy``; serve it from qla on demand
+    if name == "entanglement_entropy":
+        from .qla import entanglement_entropy
+
+        return entanglement_entropy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,6 @@ Conventions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Tuple
 
@@ -30,6 +29,7 @@ from .errors import (
     ProbabilityMismatchError,
     ZeroVectorError,
 )
+from .qusym import log_of_base
 
 NORM_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
@@ -232,12 +232,6 @@ def schmidt(state: StateVector, dims: Tuple[int, int]) -> SchmidtDecomposition:
     return SchmidtDecomposition(s, left, right)
 
 
-def _log_of_base(base: float) -> float:
-    if base <= 1.0:
-        raise ValueError(f"logarithm base must exceed 1, got {base!r}")
-    return math.log(base)
-
-
 def shannon_entropy(probs: Sequence[float] | np.ndarray, base: float = 2.0) -> float:
     """``H = -Σ p_i log_base p_i`` of a probability vector, with 0 log 0 = 0.
 
@@ -245,15 +239,7 @@ def shannon_entropy(probs: Sequence[float] | np.ndarray, base: float = 2.0) -> f
     """
     p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
     p = p[p > 0.0]
-    return float(-np.sum(p * np.log(p)) / _log_of_base(base)) + 0.0  # never -0.0
-
-
-def uniform_entropy(d: int, base: float = 2.0) -> float:
-    """``log_base d``: the entropy of a uniform draw over d outcomes.
-
-    Equals the von Neumann entropy of the maximally mixed d x d state.
-    """
-    return math.log(d) / _log_of_base(base)
+    return float(-np.sum(p * np.log(p)) / log_of_base(base)) + 0.0  # never -0.0
 
 
 def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> float:

@@ -10,20 +10,25 @@ string length at fixed base versus growth with base at fixed length).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
     DuplicateSymbolError,
     EmptyVocabularyError,
+    MalformedTokenError,
     ProbabilityMismatchError,
     UnknownSymbolError,
 )
-from .qla import NORM_TOL, DensityMatrix, StateVector, basis_state
+
+if TYPE_CHECKING:
+    from .qla import DensityMatrix, StateVector
+
+# a namespaced symbol ``ns:Value``: the form of every token in the source files
+TOKEN_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9_]*:[A-Za-z0-9_]+")
 
 
 def _check_symbol(symbol: str) -> str:
@@ -96,6 +101,8 @@ def vocabulary_from_symbols(symbols: Iterable[str]) -> Vocabulary:
 
 def encode_symbol(voc: Vocabulary, symbol: str) -> Qusym:
     """One-hot encode a symbol as the pure basis state at its index."""
+    from .qla import basis_state
+
     return Qusym(voc, basis_state(voc.d, voc.index(symbol)))
 
 
@@ -105,6 +112,10 @@ def qusym_ensemble(voc: Vocabulary, weights: Mapping[str, float]) -> DensityMatr
     ``weights`` maps symbols to selection probabilities (missing symbols get
     0); they must be non-negative and sum to 1 within tolerance.
     """
+    import numpy as np
+
+    from .qla import NORM_TOL, DensityMatrix
+
     probs = np.zeros(voc.d, dtype=float)
     for symbol, p in weights.items():
         if p < 0:
@@ -114,6 +125,21 @@ def qusym_ensemble(voc: Vocabulary, weights: Mapping[str, float]) -> DensityMatr
     if abs(total - 1.0) > NORM_TOL:
         raise ProbabilityMismatchError(f"weights sum to {total!r}, expected 1")
     return DensityMatrix(np.diag(probs / total).astype(complex))
+
+
+def log_of_base(base: float) -> float:
+    """Natural logarithm of an entropy base; the base must exceed 1."""
+    if base <= 1.0:
+        raise ValueError(f"logarithm base must exceed 1, got {base!r}")
+    return math.log(base)
+
+
+def uniform_entropy(d: int, base: float = 2.0) -> float:
+    """``log_base d``: the entropy of a uniform draw over d outcomes.
+
+    Equals the von Neumann entropy of the maximally mixed d x d state.
+    """
+    return math.log(d) / log_of_base(base)
 
 
 @dataclass(frozen=True)
@@ -222,13 +248,21 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     """Read a vocabulary file: one symbol per line, ``#`` lines are comments.
 
     Symbol lines are numbered consecutively (comments and blanks skipped),
-    and that position is the basis index.
+    and that position is the basis index. Every symbol must be a namespaced
+    token, the only form a triple can name; anything else raises
+    ``MalformedTokenError`` with its line and column in the file.
     """
     symbols = []
-    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if not TOKEN_PATTERN.fullmatch(line):
+            raise MalformedTokenError(
+                f"vocabulary entry {line!r} is not a namespaced symbol",
+                lineno,
+                raw.find(line) + 1,
+            )
         symbols.append(line)
     return vocabulary_from_symbols(symbols)
 

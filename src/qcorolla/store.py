@@ -20,7 +20,6 @@ byte-identical.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -38,11 +37,9 @@ from .errors import (
     MissingTerminatorError,
     UnknownPredicateError,
 )
-from .qusym import Vocabulary, load_vocabulary, save_vocabulary
+from .qusym import TOKEN_PATTERN, Vocabulary, load_vocabulary, save_vocabulary
 
 SNAPSHOT_FORMAT_VERSION = 1
-
-TOKEN_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9_]*:[A-Za-z0-9_]+")
 
 
 @dataclass(frozen=True)
@@ -217,8 +214,17 @@ def query_node(graph: CorollaGraph, symbol: str) -> NodeReport:
     views = []
     readings = {}  # triple id -> (forward, converse); a self-loop's two ends share one
     for corolla in graph.half_edges_of(symbol):
-        partner = graph.partner_of(corolla)
         triple_id = graph.edge_of(corolla)
+        partner = None
+        if triple_id is not None:
+            forward, backward = graph.edge_corollas(triple_id)
+            partner = backward if corolla.half_edge_id == forward.half_edge_id else forward
+            if triple_id not in readings:
+                s, o = forward.node.symbol, backward.node.symbol
+                readings[triple_id] = (
+                    (s, forward.predicate.name, o),
+                    (o, backward.predicate.name, s),
+                )
         views.append(
             CorollaView(
                 predicate=corolla.predicate.name,
@@ -228,8 +234,6 @@ def query_node(graph: CorollaGraph, symbol: str) -> NodeReport:
                 triple_id=triple_id,
             )
         )
-        if triple_id is not None and triple_id not in readings:
-            readings[triple_id] = (graph.triple(triple_id), graph.converse_of(triple_id))
     flat = tuple(reading for pair in readings.values() for reading in pair)
     return NodeReport(symbol=symbol, corollas=tuple(views), readings=flat)
 

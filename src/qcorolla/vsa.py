@@ -14,7 +14,6 @@ first bit most significant, for CLI interchange.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -140,21 +139,22 @@ def bind_tensor(a: HyperVector, b: HyperVector) -> OuterProduct:
     return OuterProduct(np.outer(_bipolar(a.bits), _bipolar(b.bits)))
 
 
-@lru_cache(maxsize=8)
-def _antidiagonal_index(n: int) -> np.ndarray:
-    i = np.arange(n)
-    return ((i[:, None] + i[None, :]) % n).reshape(-1)
-
-
 def compress_outer(op: OuterProduct) -> HyperVector:
     """Fold an n x n product back to n bits by circular convolution.
 
     Component k is the sign of the sum over entries with i + j = k (mod n),
-    mapped to a bit: positive -> 1, zero or negative -> 0. Sums of small
-    integers stay exact in the float64 accumulation.
+    mapped to a bit: positive -> 1, zero or negative -> 0. The sums are
+    exact int64 sums, and no n x n index or float array is built.
     """
     n = op.n
-    sums = np.bincount(_antidiagonal_index(n), weights=op.entries.reshape(-1), minlength=n)
+    wide = np.concatenate((op.entries, op.entries), axis=1)
+    row, col = wide.strides
+    # row i of this view starts at column n - i of [E | E], so column k of it
+    # holds E[i, (k - i) mod n]: the whole anti-diagonal k runs down column k
+    diagonals = np.lib.stride_tricks.as_strided(
+        wide[:, n:], shape=(n, n), strides=(row - col, col), writeable=False
+    )
+    sums = diagonals.sum(axis=0, dtype=np.int64)
     return HyperVector((sums > 0).astype(np.uint8))
 
 

@@ -1,9 +1,14 @@
 """CLI contract: subcommands, exit codes, stream separation, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcorolla
 from qcorolla.cli import cli_dispatch
 
 
@@ -228,3 +233,53 @@ def test_kinship_stdout_matches_dense_implementation(store_dir, capsys, command)
     out, _ = capsys.readouterr()
     assert code == 0
     assert out == KINSHIP_STDOUT[command]
+
+
+@pytest.mark.parametrize("command", ["ingest", "round"])
+def test_bare_vocabulary_entry_exits_one(kinship_paths, tmp_path, capsys, command):
+    vocab, registry, triples = kinship_paths
+    vocab.write_text("person:Bob\nAlice\nperson:Mary\n", encoding="utf-8")
+    argv = {
+        "ingest": ["ingest", "--vocab", str(vocab), "--registry", str(registry),
+                   "--triples", str(triples), "--store", str(tmp_path / "store")],
+        "round": ["round", "--vector", "0.9,0.1,0.05", "--vocab", str(vocab)],
+    }[command]
+    code = cli_dispatch(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 2, column 1:")
+    assert "Traceback" not in err
+
+
+# commands that must run without importing numpy, with the arguments after the command name
+NUMPY_FREE = {
+    "query": ["person:Bob"],
+    "validate": [],
+    "export": ["--jsonl", "{tmp}/out.jsonl"],
+    "ingest": ["--vocab", "{vocab}", "--registry", "{registry}", "--triples", "{triples}"],
+    "entangle": ["t1"],
+    "entropy --triple": ["t2", "--base", "3"],
+    "entropy --node-vocab": [],
+}
+
+_PROBE = """import sys
+from qcorolla.cli import cli_dispatch
+code = cli_dispatch(sys.argv[1:])
+print("numpy loaded" if "numpy" in sys.modules else "numpy not loaded", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", sorted(NUMPY_FREE))
+def test_command_runs_without_numpy(store_dir, kinship_paths, tmp_path, command):
+    vocab, registry, triples = kinship_paths
+    places = {"tmp": tmp_path, "vocab": vocab, "registry": registry, "triples": triples}
+    store = tmp_path / "fresh" if command == "ingest" else store_dir
+    argv = [*command.split(), *(a.format(**places) for a in NUMPY_FREE[command]), "--store", str(store)]
+    src = str(Path(qcorolla.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "numpy not loaded"

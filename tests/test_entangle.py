@@ -30,7 +30,14 @@ from qcorolla.errors import (
     WeightOutOfRangeError,
     ZeroVectorError,
 )
-from qcorolla.qla import basis_state, entanglement_entropy, make_state, outer, partial_trace
+from qcorolla.qla import (
+    basis_state,
+    entanglement_entropy,
+    make_state,
+    outer,
+    partial_trace,
+    shannon_entropy,
+)
 from qcorolla.qusym import vocabulary_from_symbols
 
 
@@ -197,6 +204,17 @@ def test_measure_entanglement_matches_dense_oracle(base):
         joint = random_joint(rng, lam)
         dense = entanglement_entropy(joint.state, joint.dims, base)
         assert measure_entanglement(joint, base) == pytest.approx(dense, abs=1e-12)
+
+
+@pytest.mark.parametrize("base", [2.0, 3.0, 10.0, math.e])
+def test_measure_entanglement_matches_numpy_shannon_entropy(base):
+    rng = np.random.default_rng(71)
+    lams = [0.0, 1.0, 0.5, 1e-300, *rng.uniform(size=5_000), *10.0 ** rng.uniform(-300, 0, size=4_996)]
+    for lam in lams:
+        joint = JointState(float(lam), (0, 1, 0, 1), (2, 2), binary_entropy(lam))
+        _, amplitudes = zip(*joint.support())
+        expected = shannon_entropy(np.square(amplitudes), base)
+        assert abs(measure_entanglement(joint, base) - expected) <= 4 * math.ulp(expected)
 
 
 def test_measure_joint_matches_dense_oracle():

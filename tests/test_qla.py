@@ -26,9 +26,9 @@ from qcorolla.qla import (
     schmidt,
     states_equal,
     tensor,
-    uniform_entropy,
     von_neumann_entropy,
 )
+from qcorolla.qusym import uniform_entropy
 
 BELL = make_state([1, 0, 0, 1])
 ASYMMETRIC = make_state([0.6, 0, 0, 0.8])  # sqrt(0.36)|00> + sqrt(0.64)|11>

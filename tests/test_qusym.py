@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qcorolla.errors import (
     DuplicateSymbolError,
     EmptyVocabularyError,
+    MalformedTokenError,
     ProbabilityMismatchError,
     UnknownSymbolError,
 )
@@ -236,3 +237,19 @@ def test_vocabulary_file_roundtrip(tmp_path):
     path = tmp_path / "voc.txt"
     save_vocabulary(PEOPLE, path)
     assert load_vocabulary(path).entries == PEOPLE.entries
+
+
+def test_load_vocabulary_rejects_bare_entry(tmp_path):
+    path = tmp_path / "voc.txt"
+    path.write_text("Bob\nperson:Alice\n", encoding="utf-8")
+    with pytest.raises(MalformedTokenError, match="'Bob'") as info:
+        load_vocabulary(path)
+    assert (info.value.line, info.value.column) == (1, 1)
+
+
+def test_load_vocabulary_reports_file_line_after_comments(tmp_path):
+    path = tmp_path / "voc.txt"
+    path.write_text("# people\n\nperson:Bob\n# more\n  person:Al ice\n", encoding="utf-8")
+    with pytest.raises(MalformedTokenError) as info:
+        load_vocabulary(path)
+    assert (info.value.line, info.value.column) == (5, 3)

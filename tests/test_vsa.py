@@ -1,5 +1,7 @@
 """VSA binding algebra: XOR group structure, tensor products, compression."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,44 @@ def test_compress_outer_quasi_orthogonal_to_random():
         unrelated = random_hypervector(1024, 5 * seed + 2)
         sims.append(similarity(compress_outer(bind_tensor(a, b)), unrelated))
     assert abs(float(np.mean(sims)) - 0.5) <= 0.06
+
+
+def bincount_compress(entries: np.ndarray) -> np.ndarray:
+    """Anti-diagonal sums by an n² index and float64 weights, as a reference."""
+    n = entries.shape[0]
+    i = np.arange(n)
+    index = ((i[:, None] + i[None, :]) % n).reshape(-1)
+    sums = np.bincount(index, weights=entries.reshape(-1), minlength=n)
+    return (sums > 0).astype(np.uint8)
+
+
+def test_compress_outer_matches_bincount_reference():
+    rng = np.random.default_rng(47)
+    for n in range(1, 81):
+        for _ in range(4):
+            entries = rng.integers(-5, 6, size=(n, n))
+            assert np.array_equal(compress_outer(OuterProduct(entries)).bits, bincount_compress(entries))
+
+
+def test_compress_outer_is_circular_convolution_at_4096():
+    a = random_hypervector(4096, 48)
+    b = random_hypervector(4096, 49)
+    x, y = (2.0 * v.bits - 1.0 for v in (a, b))
+    sums = np.rint(np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(y), n=4096))
+    assert np.array_equal(compress_outer(bind_tensor(a, b)).bits, (sums > 0).astype(np.uint8))
+
+
+def test_tensor_fold_builds_no_wide_temporaries():
+    a = random_hypervector(4096, 50)
+    b = random_hypervector(4096, 51)
+    tracemalloc.start()
+    try:
+        compress_outer(bind_tensor(a, b))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the int8 product is 16 MiB; one n² int64 or float64 array alone would be 128 MiB
+    assert peak < 64 << 20
 
 
 # --- similarity -------------------------------------------------------------------------
