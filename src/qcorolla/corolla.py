@@ -116,12 +116,11 @@ class ValidationReport:
 
 class ConverseRegistry:
     """Bijective pairing of forward/backward predicate names with one total
-    entanglement weight per pair."""
+    entanglement weight per pair, in one map keyed by either name: name ->
+    (its DirectedPredicate, its converse's, the pair's total weight)."""
 
     def __init__(self):
-        self._forward: Dict[str, Tuple[str, float]] = {}
-        self._backward: Dict[str, str] = {}
-        self._directed: Dict[str, DirectedPredicate] = {}
+        self._pairs: Dict[str, Tuple[DirectedPredicate, DirectedPredicate, float]] = {}
 
     def register_converse(self, forward: str, backward: str, total_weight: float) -> "ConverseRegistry":
         """Bind a converse pair; forward gets +total/2, backward -total/2."""
@@ -130,52 +129,48 @@ class ConverseRegistry:
         if not 0.0 <= total_weight <= 1.0:
             raise WeightOutOfRangeError(f"total weight must lie in [0, 1], got {total_weight!r}")
         for name in (forward, backward):
-            if name in self._forward or name in self._backward:
+            if name in self._pairs:
                 raise AlreadyRegisteredError(f"predicate {name!r} already registered")
-        self._forward[forward] = (backward, total_weight)
-        self._backward[backward] = forward
-        self._directed[forward] = DirectedPredicate(forward, total_weight / 2.0, FORWARD)
-        self._directed[backward] = DirectedPredicate(backward, -total_weight / 2.0, BACKWARD)
+        fwd = DirectedPredicate(forward, total_weight / 2.0, FORWARD)
+        bwd = DirectedPredicate(backward, -total_weight / 2.0, BACKWARD)
+        self._pairs[forward] = (fwd, bwd, total_weight)
+        self._pairs[backward] = (bwd, fwd, total_weight)
         return self
 
-    def is_backward(self, name: str) -> bool:
-        return name in self._backward
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._directed
-
-    def forward_name(self, name: str) -> str:
-        """Canonical (forward) name of either side of a pair."""
-        if name in self._forward:
-            return name
-        if name in self._backward:
-            return self._backward[name]
-        raise UnknownPredicateError(f"predicate {name!r} not registered")
-
-    def converse_name(self, name: str) -> str:
-        if name in self._forward:
-            return self._forward[name][0]
-        if name in self._backward:
-            return self._backward[name]
-        raise UnknownPredicateError(f"predicate {name!r} not registered")
-
-    def total_weight(self, name: str) -> float:
-        return self._forward[self.forward_name(name)][1]
-
-    def directed(self, name: str) -> DirectedPredicate:
-        """The signed directed predicate for either name of a pair, one object per name."""
+    def _entry(self, name: str) -> Tuple[DirectedPredicate, DirectedPredicate, float]:
         try:
-            return self._directed[name]
+            return self._pairs[name]
         except KeyError:
             raise UnknownPredicateError(f"predicate {name!r} not registered") from None
 
+    def directed(self, name: str) -> DirectedPredicate:
+        """The signed directed predicate for either name of a pair, one object per name."""
+        try:  # _entry inlined: ingest calls this once per corolla
+            return self._pairs[name][0]
+        except KeyError:
+            raise UnknownPredicateError(f"predicate {name!r} not registered") from None
+
+    def is_backward(self, name: str) -> bool:
+        entry = self._pairs.get(name)
+        return entry is not None and entry[0].direction == BACKWARD
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._pairs
+
+    def converse_name(self, name: str) -> str:
+        return self._entry(name)[1].name
+
+    def total_weight(self, name: str) -> float:
+        return self._entry(name)[2]
+
     def pairs(self) -> Iterator[Tuple[str, str, float]]:
         """(forward, backward, total_weight) triples in registration order."""
-        for fwd, (bwd, weight) in self._forward.items():
-            yield fwd, bwd, weight
+        for own, converse, weight in self._pairs.values():
+            if own.direction == FORWARD:
+                yield own.name, converse.name, weight
 
     def __len__(self) -> int:
-        return len(self._forward)
+        return len(self._pairs) // 2
 
 
 def converse_statement(registry: ConverseRegistry, triple: Triple) -> Triple:
@@ -187,11 +182,12 @@ def converse_statement(registry: ConverseRegistry, triple: Triple) -> Triple:
 class CorollaGraph:
     """Half-edge graph over a node vocabulary and a converse registry.
 
-    One index per fact: ``_nodes`` (symbol -> NodeRef), ``_owned`` (symbol
-    -> its half-edge ids, ascending), ``_half_edges`` (id -> Corolla),
-    ``_edge_of`` (paired half-edge id -> triple id), ``_triples`` (triple id
-    -> forward and backward half-edge ids), ``_triple_keys`` ((s, p, o) ->
-    triple id). The involution is derived from ``_edge_of`` and ``_triples``.
+    One index per fact: ``_owned`` (node symbol -> its NodeRef and its
+    half-edge ids, ascending), ``_half_edges`` (id -> Corolla), ``_edge_of``
+    (paired half-edge id -> triple id), ``_triples`` (triple id -> forward
+    and backward half-edge ids), ``_triple_keys`` ((s, p, o) -> triple id).
+    Ids are consecutive and never freed, so the next one is the map's size
+    + 1. The involution is derived from ``_edge_of`` and ``_triples``.
     Mutations cost O(1); ``half_edges_of`` and ``corollas_of`` O(degree).
 
     Single-writer / multi-reader: mutations need exclusive access.
@@ -200,32 +196,28 @@ class CorollaGraph:
     def __init__(self, node_vocabulary: Vocabulary, registry: ConverseRegistry):
         self.node_vocabulary = node_vocabulary
         self.registry = registry
-        self._nodes: Dict[str, NodeRef] = {}
-        self._owned: Dict[str, List[int]] = {}
+        self._owned: Dict[str, Tuple[NodeRef, List[int]]] = {}
         self._half_edges: Dict[int, Corolla] = {}
         self._edge_of: Dict[int, str] = {}
         self._triples: Dict[str, Tuple[int, int]] = {}
         self._triple_keys: Dict[Triple, str] = {}
-        self._next_half_edge = 1
-        self._next_triple = 1
 
     # -- nodes ---------------------------------------------------------
 
     def add_node(self, symbol: str) -> NodeRef:
         """Register a node of the graph; idempotent per symbol."""
-        if symbol not in self._nodes:
+        if symbol not in self._owned:
             if symbol not in self.node_vocabulary:
                 raise UnknownNodeSymbolError(f"node symbol {symbol!r} not in vocabulary")
-            self._nodes[symbol] = NodeRef(symbol)
-            self._owned[symbol] = []
-        return self._nodes[symbol]
+            self._owned[symbol] = (NodeRef(symbol), [])
+        return self._owned[symbol][0]
 
     def nodes(self) -> Tuple[NodeRef, ...]:
-        return tuple(self._nodes.values())
+        return tuple(ref for ref, _ in self._owned.values())
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self._owned)
 
     # -- corollas --------------------------------------------------------
 
@@ -235,11 +227,11 @@ class CorollaGraph:
         The predicate may be either side of a registered pair; its sign
         follows its direction.
         """
+        predicate = self.registry.directed(predicate_name)
         ref = self.add_node(node.symbol if isinstance(node, NodeRef) else node)
-        corolla = Corolla(ref, self.registry.directed(predicate_name), self._next_half_edge)
+        corolla = Corolla(ref, predicate, len(self._half_edges) + 1)
         self._half_edges[corolla.half_edge_id] = corolla
-        self._owned[ref.symbol].append(corolla.half_edge_id)
-        self._next_half_edge += 1
+        self._owned[ref.symbol][1].append(corolla.half_edge_id)
         return corolla
 
     def half_edges_of(self, node: NodeRef | str) -> Tuple[Corolla, ...]:
@@ -247,7 +239,7 @@ class CorollaGraph:
         symbol = node.symbol if isinstance(node, NodeRef) else node
         if symbol not in self._owned:
             raise UnknownNodeError(f"node {symbol!r} not in graph")
-        return tuple(self._half_edges[h] for h in self._owned[symbol])
+        return tuple(self._half_edges[h] for h in self._owned[symbol][1])
 
     def corollas_of(self, node: NodeRef | str) -> Set[Corolla]:
         """All half-edges owned by a node, paired or not."""
@@ -311,8 +303,7 @@ class CorollaGraph:
                 f"triple {key} already present as {self._triple_keys[key]}"
             )
 
-        triple_id = f"t{self._next_triple}"
-        self._next_triple += 1
+        triple_id = f"t{len(self._triples) + 1}"
         self._edge_of[left.half_edge_id] = triple_id
         self._edge_of[right.half_edge_id] = triple_id
         self._triples[triple_id] = (left.half_edge_id, right.half_edge_id)

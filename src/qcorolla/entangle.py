@@ -74,7 +74,6 @@ class JointState:
     basis: BasisChoice
     dims: Tuple[int, int]
     target_entropy: float
-    triple_id: str | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.target_entropy <= 1.0:
@@ -170,9 +169,7 @@ def invert_binary_entropy(p: float) -> float:
     return (lo + hi) / 2.0
 
 
-def _default_basis(graph: CorollaGraph, triple_id: str) -> BasisChoice:
-    s, _, o = graph.triple(triple_id)
-    voc = graph.node_vocabulary
+def _default_basis(voc: Vocabulary, s: str, o: str) -> BasisChoice:
     if voc.d < 2:
         raise DegenerateBasisError("node vocabulary needs d >= 2 for a two-term state")
     i, j = voc.index(s), voc.index(o)
@@ -192,19 +189,18 @@ def synthesize_joint_state(
     the converse pair's total weight. By default the support indices are
     the subject and object symbols' basis indices on both sides.
     """
-    _, p, _ = graph.triple(triple_id)
+    s, p, o = graph.triple(triple_id)
     target = graph.registry.total_weight(p)
     if not 0.0 <= target <= 1.0:
         raise WeightOutOfRangeError(f"registered weight {target!r} outside [0, 1]")
 
     voc = graph.node_vocabulary
-    basis = basis_choice if basis_choice is not None else _default_basis(graph, triple_id)
+    basis = basis_choice if basis_choice is not None else _default_basis(voc, s, o)
     return JointState(
         lam=invert_binary_entropy(target),
         basis=tuple(basis),
         dims=(voc.d, voc.d),
         target_entropy=target,
-        triple_id=triple_id,
     )
 
 

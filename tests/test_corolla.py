@@ -99,6 +99,46 @@ def test_half_weights_cancel_exactly(weight):
     assert abs(fwd.half_weight) + abs(bwd.half_weight) == weight
 
 
+# registered weights span [0, 1], both ends included
+pair_weights = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.0, 1.0])
+
+
+@given(st.lists(pair_weights, max_size=8))
+def test_registry_matches_list_of_registered_pairs(weights):
+    pairs = [(f"f:P{k}", f"b:P{k}", w) for k, w in enumerate(weights)]
+    registry = ConverseRegistry()
+    for forward, backward, weight in pairs:
+        registry.register_converse(forward, backward, weight)
+    assert list(registry.pairs()) == pairs
+    assert len(registry) == len(pairs)
+    for forward, backward, weight in pairs:
+        for name, converse, sign, direction in (
+            (forward, backward, 1.0, FORWARD),
+            (backward, forward, -1.0, BACKWARD),
+        ):
+            assert name in registry
+            directed = registry.directed(name)
+            assert directed is registry.directed(name)
+            assert (directed.name, directed.half_weight, directed.direction) == (
+                name, sign * weight / 2.0, direction
+            )
+            assert registry.converse_name(name) == converse
+            assert registry.converse_name(registry.converse_name(name)) == name
+            assert registry.is_backward(name) == (direction == BACKWARD)
+            assert registry.total_weight(name) == weight
+    assert "x:Unknown" not in registry
+    assert not registry.is_backward("x:Unknown")
+    for lookup in (registry.directed, registry.converse_name, registry.total_weight):
+        with pytest.raises(UnknownPredicateError):
+            lookup("x:Unknown")
+    for forward, backward, _ in pairs:
+        for clash in ((forward, "x:Other", 0.5), ("x:Other", backward, 0.5)):
+            with pytest.raises(AlreadyRegisteredError):
+                registry.register_converse(*clash)
+            assert "x:Other" not in registry
+            assert list(registry.pairs()) == pairs and len(registry) == len(pairs)
+
+
 def test_directed_predicate_sign_convention():
     with pytest.raises(ValueError):
         DirectedPredicate("x:F", -0.1, FORWARD)
@@ -128,6 +168,18 @@ def test_make_corolla_unknown_node():
 def test_make_corolla_unknown_predicate():
     with pytest.raises(UnknownPredicateError):
         fresh_graph().make_corolla("person:Bob", "kin:CousinOf")
+
+
+def test_failed_make_corolla_changes_nothing():
+    graph = fresh_graph()
+    with pytest.raises(UnknownPredicateError):
+        graph.make_corolla("person:Bob", "kin:CousinOf")
+    assert graph.node_count == 0
+    assert graph.nodes() == ()
+    assert graph.half_edge_count == 0
+    with pytest.raises(UnknownNodeError):
+        graph.half_edges_of("person:Bob")
+    assert graph.make_corolla("person:Alice", "kin:ChildOf").half_edge_id == 1
 
 
 # --- joining -----------------------------------------------------------------------
@@ -197,6 +249,34 @@ def test_multigraph_distinct_predicates_allowed():
         graph.make_corolla("person:Mary", "kin:WifeOf"),
     )
     assert graph.edge_count == 2
+
+
+def test_ids_are_consecutive_in_creation_order():
+    graph = fresh_graph()
+    made = [
+        graph.make_corolla("person:Bob", "kin:ParentOf"),
+        graph.make_corolla("person:Mary", "kin:WifeOf"),  # stays unpaired
+        graph.make_corolla("person:Alice", "kin:ChildOf"),
+        graph.make_corolla("person:Alice", "kin:WifeOf"),  # stays unpaired
+    ]
+    bob_parent, _, alice_child, alice_wife = made
+    with pytest.raises(NotConverseError):
+        graph.join(bob_parent, alice_wife)
+    with pytest.raises(SelfJoinError):
+        graph.join(bob_parent, bob_parent)
+    assert graph.join(bob_parent, alice_child) == "t1"
+    with pytest.raises(AlreadyPairedError):
+        graph.join(bob_parent, alice_child)
+    made += [graph.make_corolla("person:Bob", "kin:ParentOf"),
+             graph.make_corolla("person:Alice", "kin:ChildOf")]  # a restatement: stays unpaired
+    with pytest.raises(AlreadyPairedError):
+        graph.join(made[-2], made[-1])
+    made += [graph.make_corolla("person:Bob", "kin:HusbandOf"),
+             graph.make_corolla("person:Mary", "kin:WifeOf")]
+    assert graph.join(made[-2], made[-1]) == "t2"
+    assert [c.half_edge_id for c in made] == list(range(1, 9))
+    assert graph.half_edge_count == 8
+    assert graph.triple_ids() == ("t1", "t2")
 
 
 # --- converse readings -----------------------------------------------------------------
