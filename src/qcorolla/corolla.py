@@ -37,7 +37,7 @@ from .errors import (
     WeightOutOfRangeError,
     WrongOrientationError,
 )
-from .qusym import TOKEN_PATTERN, Vocabulary
+from .qusym import TOKEN_PATTERN, Vocabulary, source_lines
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -47,14 +47,7 @@ WEIGHT_TOL = 1e-12
 Triple = Tuple[str, str, str]
 
 
-@dataclass(frozen=True)
-class NodeRef:
-    """A node symbol of the graph."""
-
-    symbol: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectedPredicate:
     """One direction of a converse pair with its signed half-weight (bits).
 
@@ -75,11 +68,11 @@ class DirectedPredicate:
             raise ValueError("backward predicates need a non-positive half-weight")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Corolla:
-    """A node plus one owned directed predicate: half of a triple."""
+    """A node symbol plus one owned directed predicate: half of a triple."""
 
-    node: NodeRef
+    node: str
     predicate: DirectedPredicate
     half_edge_id: int
 
@@ -182,8 +175,8 @@ def converse_statement(registry: ConverseRegistry, triple: Triple) -> Triple:
 class CorollaGraph:
     """Half-edge graph over a node vocabulary and a converse registry.
 
-    One index per fact: ``_owned`` (node symbol -> its NodeRef and its
-    half-edge ids, ascending), ``_half_edges`` (id -> Corolla), ``_edge_of``
+    One index per fact: ``_owned`` (node symbol -> its half-edge ids,
+    ascending), ``_half_edges`` (id -> Corolla), ``_edge_of``
     (paired half-edge id -> triple id), ``_triples`` (triple id -> forward
     and backward half-edge ids), ``_triple_keys`` ((s, p, o) -> triple id).
     Ids are consecutive and never freed, so the next one is the map's size
@@ -196,7 +189,7 @@ class CorollaGraph:
     def __init__(self, node_vocabulary: Vocabulary, registry: ConverseRegistry):
         self.node_vocabulary = node_vocabulary
         self.registry = registry
-        self._owned: Dict[str, Tuple[NodeRef, List[int]]] = {}
+        self._owned: Dict[str, List[int]] = {}
         self._half_edges: Dict[int, Corolla] = {}
         self._edge_of: Dict[int, str] = {}
         self._triples: Dict[str, Tuple[int, int]] = {}
@@ -204,16 +197,16 @@ class CorollaGraph:
 
     # -- nodes ---------------------------------------------------------
 
-    def add_node(self, symbol: str) -> NodeRef:
+    def add_node(self, symbol: str) -> str:
         """Register a node of the graph; idempotent per symbol."""
         if symbol not in self._owned:
             if symbol not in self.node_vocabulary:
                 raise UnknownNodeSymbolError(f"node symbol {symbol!r} not in vocabulary")
-            self._owned[symbol] = (NodeRef(symbol), [])
-        return self._owned[symbol][0]
+            self._owned[symbol] = []
+        return symbol
 
-    def nodes(self) -> Tuple[NodeRef, ...]:
-        return tuple(ref for ref, _ in self._owned.values())
+    def nodes(self) -> Tuple[str, ...]:
+        return tuple(self._owned)
 
     @property
     def node_count(self) -> int:
@@ -221,27 +214,25 @@ class CorollaGraph:
 
     # -- corollas --------------------------------------------------------
 
-    def make_corolla(self, node: NodeRef | str, predicate_name: str) -> Corolla:
+    def make_corolla(self, node: str, predicate_name: str) -> Corolla:
         """Create an unpaired half-edge owned by ``node``.
 
         The predicate may be either side of a registered pair; its sign
         follows its direction.
         """
         predicate = self.registry.directed(predicate_name)
-        ref = self.add_node(node.symbol if isinstance(node, NodeRef) else node)
-        corolla = Corolla(ref, predicate, len(self._half_edges) + 1)
+        corolla = Corolla(self.add_node(node), predicate, len(self._half_edges) + 1)
         self._half_edges[corolla.half_edge_id] = corolla
-        self._owned[ref.symbol][1].append(corolla.half_edge_id)
+        self._owned[node].append(corolla.half_edge_id)
         return corolla
 
-    def half_edges_of(self, node: NodeRef | str) -> Tuple[Corolla, ...]:
+    def half_edges_of(self, node: str) -> Tuple[Corolla, ...]:
         """The half-edges a node owns, paired or not, in ascending id order."""
-        symbol = node.symbol if isinstance(node, NodeRef) else node
-        if symbol not in self._owned:
-            raise UnknownNodeError(f"node {symbol!r} not in graph")
-        return tuple(self._half_edges[h] for h in self._owned[symbol][1])
+        if node not in self._owned:
+            raise UnknownNodeError(f"node {node!r} not in graph")
+        return tuple(self._half_edges[h] for h in self._owned[node])
 
-    def corollas_of(self, node: NodeRef | str) -> Set[Corolla]:
+    def corollas_of(self, node: str) -> Set[Corolla]:
         """All half-edges owned by a node, paired or not."""
         return set(self.half_edges_of(node))
 
@@ -297,7 +288,7 @@ class CorollaGraph:
                 or self.registry.converse_name(lp.name) != rp.name:
             raise NotConverseError(f"{lp.name!r} and {rp.name!r} are not a converse pair")
 
-        key = (left.node.symbol, lp.name, right.node.symbol)
+        key = (left.node, lp.name, right.node)
         if key in self._triple_keys:
             raise AlreadyPairedError(
                 f"triple {key} already present as {self._triple_keys[key]}"
@@ -315,7 +306,7 @@ class CorollaGraph:
     def triple(self, triple_id: str) -> Triple:
         """The stored orientation (subject, forward predicate, object)."""
         left, right = self.edge_corollas(triple_id)
-        return (left.node.symbol, left.predicate.name, right.node.symbol)
+        return (left.node, left.predicate.name, right.node)
 
     def converse_of(self, triple_id: str) -> Triple:
         """The converse reading (object, backward predicate, subject)."""
@@ -398,14 +389,11 @@ def load_registry(path: str | Path) -> ConverseRegistry:
     ``#`` lines are comments; predicate names use the namespaced token form.
     """
     registry = ConverseRegistry()
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        match = _REGISTRY_LINE.match(line)
+    for lineno, raw in source_lines(Path(path).read_text(encoding="utf-8-sig")):
+        match = _REGISTRY_LINE.match(raw)
         if not match:
             raise MalformedTokenError(
-                f"expected 'forward <-> backward = p', got {line!r}", lineno, 1
+                f"expected 'forward <-> backward = p', got {raw.strip()!r}", lineno, 1
             )
         fwd, bwd = match.group("fwd"), match.group("bwd")
         for name in (fwd, bwd):

@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 
     from .qla import StateVector
 
-ENTROPY_TOL = 1e-6
+ENTROPY_TOL = 1e-12
 
 # the largest sample count numpy's multinomial sampler accepts (int64)
 MAX_SHOTS = 2**63 - 1
@@ -140,16 +140,18 @@ def binary_entropy(lam: float) -> float:
     """H2(λ) = −λ log2 λ − (1−λ) log2 (1−λ), with H2(0) = H2(1) = 0."""
     if lam <= 0.0 or lam >= 1.0:
         return 0.0
-    return -lam * math.log2(lam) - (1.0 - lam) * math.log2(1.0 - lam)
+    # log1p keeps the second term (about λ/ln 2) for small λ, where 1 − λ rounds to 1
+    return -lam * math.log2(lam) - (1.0 - lam) * math.log1p(-lam) / math.log(2.0)
 
 
 @functools.lru_cache(maxsize=4096)
 def invert_binary_entropy(p: float) -> float:
-    """The λ in [0, 0.5] with H2(λ) = p, by bisection to 1e-10 in λ.
+    """The λ in [0, 0.5] with H2(λ) = p, to the nearest float.
 
-    H2 is strictly increasing on [0, 0.5], so bisection is branch-safe;
-    60 iterations shrink the interval below the tolerance. Results are
-    cached, so each registered weight is inverted once.
+    H2 is strictly increasing on [0, 0.5], so bisection is branch-safe; it
+    runs until the bracket's ends are adjacent floats and returns the end
+    nearer p in H2. Results are cached, so each registered weight is
+    inverted once.
     """
     if not 0.0 <= p <= 1.0:
         raise WeightOutOfRangeError(f"entropy target must lie in [0, 1], got {p!r}")
@@ -158,15 +160,12 @@ def invert_binary_entropy(p: float) -> float:
     if p == 1.0:
         return 0.5
     lo, hi = 0.0, 0.5
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
+    while lo < (mid := (lo + hi) / 2.0) < hi:
         if binary_entropy(mid) < p:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-10:
-            break
-    return (lo + hi) / 2.0
+    return min(lo, hi, key=lambda lam: abs(binary_entropy(lam) - p))
 
 
 def _default_basis(voc: Vocabulary, s: str, o: str) -> BasisChoice:
@@ -191,9 +190,6 @@ def synthesize_joint_state(
     """
     s, p, o = graph.triple(triple_id)
     target = graph.registry.total_weight(p)
-    if not 0.0 <= target <= 1.0:
-        raise WeightOutOfRangeError(f"registered weight {target!r} outside [0, 1]")
-
     voc = graph.node_vocabulary
     basis = basis_choice if basis_choice is not None else _default_basis(voc, s, o)
     return JointState(

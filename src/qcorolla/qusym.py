@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -31,10 +31,19 @@ if TYPE_CHECKING:
 TOKEN_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9_]*:[A-Za-z0-9_]+")
 
 
+def source_lines(text: str) -> Iterator[Tuple[int, str]]:
+    """(line number, line) for each line of a source file that is neither
+    blank nor a ``#`` comment. Only LF, CR LF and CR end a line."""
+    for lineno, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, line
+
+
 def _check_symbol(symbol: str) -> str:
     if not symbol:
         raise ValueError("symbols must be non-empty")
-    if any(ch.isspace() for ch in symbol):
+    if symbol.split() != [symbol]:
         raise ValueError(f"symbols must not contain whitespace: {symbol!r}")
     return symbol
 
@@ -253,10 +262,8 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     ``MalformedTokenError`` with its line and column in the file.
     """
     symbols = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, raw in source_lines(Path(path).read_text(encoding="utf-8-sig")):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         if not TOKEN_PATTERN.fullmatch(line):
             raise MalformedTokenError(
                 f"vocabulary entry {line!r} is not a namespaced symbol",

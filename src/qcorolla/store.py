@@ -7,6 +7,7 @@ Source files use an N-Triples-like line grammar::
 where WS is one or more spaces or tabs and every token is a namespaced
 symbol ``ns:Value`` matching ``[A-Za-z][A-Za-z0-9_]*:[A-Za-z0-9_]+``.
 ``#`` lines are comments, and a leading UTF-8 byte-order mark is skipped.
+Only LF, CR LF and CR end a line (``qusym.source_lines``).
 Only forward predicate names are legal in the predicate position; a statement
 whose predicate is a backward name is accepted only as the converse
 reading of an edge already in the graph, and is folded into that edge
@@ -37,12 +38,12 @@ from .errors import (
     MissingTerminatorError,
     UnknownPredicateError,
 )
-from .qusym import TOKEN_PATTERN, Vocabulary, load_vocabulary, save_vocabulary
+from .qusym import TOKEN_PATTERN, Vocabulary, load_vocabulary, save_vocabulary, source_lines
 
 SNAPSHOT_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     """One parsed (subject, predicate, object) line with its source position."""
 
@@ -104,12 +105,7 @@ def parse_triple_line(line: str, lineno: int = 1) -> Statement | None:
 
 
 def parse_triples_text(text: str) -> TripleDocument:
-    statements = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        statement = parse_triple_line(raw, lineno)
-        if statement is not None:
-            statements.append(statement)
-    return TripleDocument(tuple(statements))
+    return TripleDocument(tuple(parse_triple_line(line, lineno) for lineno, line in source_lines(text)))
 
 
 def load_triples(path: str | Path) -> TripleDocument:
@@ -220,7 +216,7 @@ def query_node(graph: CorollaGraph, symbol: str) -> NodeReport:
             forward, backward = graph.edge_corollas(triple_id)
             partner = backward if corolla.half_edge_id == forward.half_edge_id else forward
             if triple_id not in readings:
-                s, o = forward.node.symbol, backward.node.symbol
+                s, o = forward.node, backward.node
                 readings[triple_id] = (
                     (s, forward.predicate.name, o),
                     (o, backward.predicate.name, s),
@@ -230,7 +226,7 @@ def query_node(graph: CorollaGraph, symbol: str) -> NodeReport:
                 predicate=corolla.predicate.name,
                 direction=corolla.predicate.direction,
                 half_weight=corolla.predicate.half_weight,
-                partner=None if partner is None else partner.node.symbol,
+                partner=None if partner is None else partner.node,
                 triple_id=triple_id,
             )
         )

@@ -205,8 +205,8 @@ KINSHIP_STDOUT = {
     "entangle t1 --basis 2,0,1,2": '{"amplitudes": {"2": [0.7071067811865476, 0.0], "7": [0.7071067811865476, 0.0]}, '
     '"basis": [2, 0, 1, 2], "dims": [3, 3], "measured_entropy": 0.9999999999999999, '
     '"statement": ["person:Bob", "kin:HusbandOf", "person:Mary"], "target_entropy": 1.0, "triple": "t1"}\n',
-    "entangle t2": '{"amplitudes": {"0": [0.28174918006355926, 0.0], "4": [0.9594880924396676, 0.0]}, '
-    '"basis": [0, 1, 0, 1], "dims": [3, 3], "measured_entropy": 0.39999999994993024, '
+    "entangle t2": '{"amplitudes": {"0": [0.28174918008869004, 0.0], "4": [0.959488092432288, 0.0]}, '
+    '"basis": [0, 1, 0, 1], "dims": [3, 3], "measured_entropy": 0.3999999999999999, '
     '"statement": ["person:Bob", "kin:ParentOf", "person:Alice"], "target_entropy": 0.4, "triple": "t2"}\n',
     "measure t1 --seed 0 --shots 1000": '{"counts": {"0": 521, "8": 479}, "seed": 0, "shots": 1000}\n',
     "measure t1 --seed 42 --shots 100000": '{"counts": {"0": 49707, "8": 50293}, "seed": 42, "shots": 100000}\n',

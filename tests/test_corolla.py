@@ -356,14 +356,14 @@ def test_directed_predicate_shared_per_name():
 
 def scanned_corollas(graph, symbol):
     """Brute-force oracle: every half-edge whose owner is ``symbol``, in id order."""
-    return [c for _, c in sorted(graph._half_edges.items()) if c.node.symbol == symbol]
+    return [c for _, c in sorted(graph._half_edges.items()) if c.node == symbol]
 
 
 def assert_index_matches_scan(graph):
     for node in graph.nodes():
-        scanned = scanned_corollas(graph, node.symbol)
+        scanned = scanned_corollas(graph, node)
         assert graph.corollas_of(node) == set(scanned)
-        assert list(graph.half_edges_of(node.symbol)) == scanned
+        assert list(graph.half_edges_of(node)) == scanned
 
 
 # --- validation -------------------------------------------------------------------------
@@ -393,6 +393,26 @@ def test_validate_flags_corrupted_weight():
     report = graph.validate()
     assert any("sum to" in line for line in report.weight_violations)
     assert any("moduli" in line for line in report.weight_violations)
+
+
+def test_validate_flags_involution_fixed_point():
+    graph = build_kinship_graph()
+    tid = graph.triple_ids()[0]
+    left_id, _ = graph._triples[tid]
+    graph._triples[tid] = (left_id, left_id)
+    report = graph.validate()
+    assert not report.is_valid
+    assert f"involution fixed point at half-edge {left_id}" in report.involution_violations
+
+
+def test_validate_flags_involution_not_self_inverse():
+    graph = build_kinship_graph()
+    first, second = graph.triple_ids()
+    left_id, _ = graph._triples[first]
+    graph._edge_of[left_id] = second
+    report = graph.validate()
+    assert not report.is_valid
+    assert f"involution not self-inverse at half-edge {left_id}" in report.involution_violations
 
 
 def test_validate_flags_inert_edge_as_warning():

@@ -97,6 +97,25 @@ def test_invert_binary_entropy_endpoints_exact():
     assert invert_binary_entropy(1.0) == 0.5
 
 
+def test_invert_binary_entropy_within_ulps_of_exact():
+    mpmath = pytest.importorskip("mpmath")
+
+    def exact_h2(lam):
+        lam = mpmath.mpf(lam)
+        if lam == 0:
+            return lam
+        return (-lam * mpmath.log(lam) - (1 - lam) * mpmath.log1p(-lam)) / mpmath.log(2)
+
+    rng = np.random.default_rng(67)
+    # below p ≈ 1e-305 the nearest λ is subnormal, and its neighbours sit
+    # more than a few ulp of p apart in H2
+    targets = [k / 1000 for k in range(1001)] + [1.0 - 2.0**-e for e in range(1, 54)]
+    targets += [float(p) for p in rng.uniform(size=300)] + [float(10.0**-e) for e in rng.uniform(0, 300, 300)]
+    with mpmath.workprec(200):
+        for p in targets:
+            assert abs(exact_h2(invert_binary_entropy(p)) - p) <= 4 * math.ulp(p), p
+
+
 def test_invert_binary_entropy_range_check():
     with pytest.raises(WeightOutOfRangeError):
         invert_binary_entropy(1.2)

@@ -14,6 +14,7 @@ from qcorolla.errors import (
     BackwardPredicateInSubjectPositionError,
     MalformedTokenError,
     MissingTerminatorError,
+    ParseError,
     UnknownNodeSymbolError,
     UnknownPredicateError,
 )
@@ -125,6 +126,57 @@ def test_ingest_skips_byte_order_mark(kinship_paths, kind):
     path.write_text("\ufeff" + "\n".join(lines) + "\n", encoding="utf-8")
     result = ingest(*kinship_paths)
     assert (result.statements, result.graph.node_count, result.graph.edge_count) == (4, 3, 2)
+
+
+# Unicode line breaks other than LF, CR LF and CR: VT, FF, FS, GS, RS, NEL, LS, PS
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+# source kind -> (line 1 with the character at {}, column of the diagnostic)
+BROKEN_LINE = {
+    "vocabulary": ("person:Bob{}person:Alice\nperson:Mary\n", 1),
+    "registry": ("kin:ParentOf <-> kin:ChildOf = 0.{}4\n", 1),
+    "triples": ("person:Bob kin:ParentOf person:{}Alice .\n", 25),
+}
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize("kind", sorted(BROKEN_LINE))
+def test_only_lf_cr_lf_and_cr_end_a_line(kinship_paths, char, kind):
+    paths = dict(zip(("vocabulary", "registry", "triples"), kinship_paths))
+    text, column = BROKEN_LINE[kind]
+    paths[kind].write_text(text.format(char), encoding="utf-8")
+    with pytest.raises(MalformedTokenError) as excinfo:
+        ingest(*kinship_paths)
+    assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_cr_lf_and_cr_sources_load_like_lf(kinship_paths, ending):
+    expected = ingest(*kinship_paths)
+    text = kinship_paths[2].read_text(encoding="utf-8")
+    for path in kinship_paths:
+        path.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
+    result = ingest(*kinship_paths)
+    assert result.graph.node_vocabulary.entries == expected.graph.node_vocabulary.entries
+    assert list(result.graph.registry.pairs()) == list(expected.graph.registry.pairs())
+    assert result.graph.triples() == expected.graph.triples()
+    assert parse_triples_text(text.replace("\n", ending)) == parse_triples_text(text)
+    with pytest.raises(MalformedTokenError) as excinfo:
+        parse_triples_text(f"a:X r:F a:Y .{ending}bad .{ending}")
+    assert excinfo.value.line == 2
+
+
+LINE_PIECES = ["a:X", "r:F", "x", ":", ".", " ", "\t", "#", "\n", "\r", "\x0b", "\x85", "\u2028", "\ufeff"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(LINE_PIECES), max_size=16).map("".join)))
+def test_parser_raises_only_parse_error(text):
+    for parse in (parse_triple_line, parse_triples_text):
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 # --- ingestion -----------------------------------------------------------------
@@ -260,21 +312,21 @@ def scan_and_sort_query_node(graph, symbol):
     triple id looked up by its (s, p, o) key and the readings deduplicated."""
     views = []
     readings = []
-    owned = [c for c in graph._half_edges.values() if c.node.symbol == symbol]
+    owned = [c for c in graph._half_edges.values() if c.node == symbol]
     for corolla in sorted(owned, key=lambda c: c.half_edge_id):
         partner = graph.partner_of(corolla)
         triple_id = None
         if partner is not None:
             forward = corolla if corolla.predicate.direction == "forward" else partner
             triple_id = graph.triple_id_of(
-                (forward.node.symbol, forward.predicate.name, graph.partner_of(forward).node.symbol)
+                (forward.node, forward.predicate.name, graph.partner_of(forward).node)
             )
         views.append(
             CorollaView(
                 predicate=corolla.predicate.name,
                 direction=corolla.predicate.direction,
                 half_weight=corolla.predicate.half_weight,
-                partner=None if partner is None else partner.node.symbol,
+                partner=None if partner is None else partner.node,
                 triple_id=triple_id,
             )
         )
@@ -287,8 +339,8 @@ def scan_and_sort_query_node(graph, symbol):
 
 def assert_query_matches_scan(graph):
     for node in graph.nodes():
-        expected = scan_and_sort_query_node(graph, node.symbol)
-        assert query_node(graph, node.symbol).lines() == expected.lines()
+        expected = scan_and_sort_query_node(graph, node)
+        assert query_node(graph, node).lines() == expected.lines()
 
 
 @settings(max_examples=20, deadline=None)
