@@ -37,7 +37,7 @@ from .errors import (
     WeightOutOfRangeError,
     WrongOrientationError,
 )
-from .qusym import TOKEN_PATTERN, Vocabulary, source_lines
+from .qusym import SEPARATORS, TOKEN_PATTERN, Vocabulary, read_source, source_lines
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -181,7 +181,8 @@ class CorollaGraph:
     and backward half-edge ids), ``_triple_keys`` ((s, p, o) -> triple id).
     Ids are consecutive and never freed, so the next one is the map's size
     + 1. The involution is derived from ``_edge_of`` and ``_triples``.
-    Mutations cost O(1); ``half_edges_of`` and ``corollas_of`` O(degree).
+    Mutations cost O(1); ``half_edges_of``, ``corollas_of`` and
+    ``walk_half_edges`` O(degree).
 
     Single-writer / multi-reader: mutations need exclusive access.
     """
@@ -235,6 +236,27 @@ class CorollaGraph:
     def corollas_of(self, node: str) -> Set[Corolla]:
         """All half-edges owned by a node, paired or not."""
         return set(self.half_edges_of(node))
+
+    def walk_half_edges(
+        self, node: str
+    ) -> Iterator[Tuple[Corolla, str | None, Corolla | None, Corolla | None]]:
+        """(half-edge, triple id, forward corolla, backward corolla) for each
+        half-edge a node owns, in ascending id order; the last three are None
+        while the half-edge is unpaired. One O(degree) pass over the indexes."""
+        owned = self._owned.get(node)
+        if owned is None:
+            raise UnknownNodeError(f"node {node!r} not in graph")
+        return self._walk(owned)
+
+    def _walk(self, owned: List[int]):
+        half_edges, edge_of, triples = self._half_edges, self._edge_of, self._triples
+        for h in owned:
+            triple_id = edge_of.get(h)
+            if triple_id is None:
+                yield half_edges[h], None, None, None
+            else:
+                forward_id, backward_id = triples[triple_id]
+                yield half_edges[h], triple_id, half_edges[forward_id], half_edges[backward_id]
 
     def partner_of(self, corolla: Corolla) -> Corolla | None:
         """The involution image of a half-edge, or None while unpaired."""
@@ -378,8 +400,9 @@ class CorollaGraph:
 
 # -- registry file format ----------------------------------------------------
 
+# fields are separated by spaces and tabs only (qusym.SEPARATORS)
 _REGISTRY_LINE = re.compile(
-    r"^\s*(?P<fwd>\S+)\s*<->\s*(?P<bwd>\S+)\s*=\s*(?P<weight>[0-9.eE+-]+)\s*$"
+    r"[ \t]*(?P<fwd>\S+)[ \t]*<->[ \t]*(?P<bwd>\S+)[ \t]*=[ \t]*(?P<weight>[0-9.eE+-]+)[ \t]*"
 )
 
 
@@ -387,27 +410,36 @@ def load_registry(path: str | Path) -> ConverseRegistry:
     """Read converse pairs from ``forward <-> backward = p`` lines.
 
     ``#`` lines are comments; predicate names use the namespaced token form.
+    Every fault raises with its line and column in the file.
     """
     registry = ConverseRegistry()
-    for lineno, raw in source_lines(Path(path).read_text(encoding="utf-8-sig")):
-        match = _REGISTRY_LINE.match(raw)
+    for lineno, raw in source_lines(read_source(path)):
+        match = _REGISTRY_LINE.fullmatch(raw)
         if not match:
             raise MalformedTokenError(
-                f"expected 'forward <-> backward = p', got {raw.strip()!r}", lineno, 1
+                f"expected 'forward <-> backward = p', got {raw.strip(SEPARATORS)!r}", lineno, 1
             )
         fwd, bwd = match.group("fwd"), match.group("bwd")
-        for name in (fwd, bwd):
-            if not TOKEN_PATTERN.fullmatch(name):
+        for group in ("fwd", "bwd"):
+            if not TOKEN_PATTERN.fullmatch(match.group(group)):
                 raise MalformedTokenError(
-                    f"predicate {name!r} is not a namespaced token", lineno, raw.find(name) + 1
+                    f"predicate {match.group(group)!r} is not a namespaced token",
+                    lineno,
+                    match.start(group) + 1,
                 )
         try:
             weight = float(match.group("weight"))
         except ValueError:
             raise MalformedTokenError(
-                f"weight {match.group('weight')!r} is not a number", lineno, 1
+                f"weight {match.group('weight')!r} is not a number", lineno, match.start("weight") + 1
             ) from None
-        registry.register_converse(fwd, bwd, weight)
+        try:
+            registry.register_converse(fwd, bwd, weight)
+        except WeightOutOfRangeError as exc:
+            raise WeightOutOfRangeError(str(exc), lineno, match.start("weight") + 1) from None
+        except (SelfConverseError, AlreadyRegisteredError) as exc:
+            at = match.start("fwd" if fwd in registry else "bwd") + 1
+            raise type(exc)(str(exc), lineno, at) from None
     return registry
 
 

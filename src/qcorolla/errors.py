@@ -6,7 +6,16 @@ callers can discriminate without string matching.
 
 
 class QcorollaError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    An error found in a source file carries the ``line`` and ``column`` of
+    the fault, and its message starts with them; elsewhere both are None.
+    """
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
+        self.line = line
+        self.column = column
 
 
 # --- linear algebra -------------------------------------------------------
@@ -100,12 +109,7 @@ class DegenerateBasisError(QcorollaError, ValueError):
 # --- parsing --------------------------------------------------------------
 
 class ParseError(QcorollaError, ValueError):
-    """Source text rejected; carries the line and column of the fault."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
+    """Source text rejected; always carries the line and column of the fault."""
 
 
 class MalformedTokenError(ParseError):
@@ -114,6 +118,10 @@ class MalformedTokenError(ParseError):
 
 class MissingTerminatorError(ParseError):
     """Statement lacks the closing '.' terminator."""
+
+
+class SourceEncodingError(ParseError):
+    """Source bytes are not valid UTF-8."""
 
 
 class BackwardPredicateInSubjectPositionError(QcorollaError, ValueError):

@@ -21,6 +21,7 @@ from .errors import (
     EmptyVocabularyError,
     MalformedTokenError,
     ProbabilityMismatchError,
+    SourceEncodingError,
     UnknownSymbolError,
 )
 
@@ -31,11 +32,39 @@ if TYPE_CHECKING:
 TOKEN_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9_]*:[A-Za-z0-9_]+")
 
 
+# the only separators in a source line; any other character, other Unicode spaces
+# included, belongs to the token or field it touches
+SEPARATORS = " \t"
+
+
+def _split_lines(text: str) -> list[str]:
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def read_source(path: str | Path) -> str:
+    """The text of a UTF-8 source file, without a leading byte-order mark.
+
+    Bytes that are not UTF-8 raise ``SourceEncodingError`` at the line and
+    column of the first one.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the file after its byte-order mark, valid UTF-8 up to exc.start
+        lines = _split_lines(exc.object[: exc.start].decode("utf-8"))
+        raise SourceEncodingError(
+            f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})",
+            len(lines),
+            len(lines[-1]) + 1,
+        ) from None
+
+
 def source_lines(text: str) -> Iterator[Tuple[int, str]]:
     """(line number, line) for each line of a source file that is neither
-    blank nor a ``#`` comment. Only LF, CR LF and CR end a line."""
-    for lineno, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
-        stripped = line.strip()
+    blank nor a ``#`` comment. Only LF, CR LF and CR end a line, and only
+    ``SEPARATORS`` make a line blank."""
+    for lineno, line in enumerate(_split_lines(text), start=1):
+        stripped = line.lstrip(SEPARATORS)
         if stripped and not stripped.startswith("#"):
             yield lineno, line
 
@@ -254,23 +283,24 @@ def validate_string(grammar: Grammar, candidate: str) -> StringValidation:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    """Read a vocabulary file: one symbol per line, ``#`` lines are comments.
+    """Read a vocabulary file: one symbol per line, ``#`` lines are comments,
+    spaces and tabs around a symbol are dropped.
 
     Symbol lines are numbered consecutively (comments and blanks skipped),
     and that position is the basis index. Every symbol must be a namespaced
     token, the only form a triple can name; anything else raises
     ``MalformedTokenError`` with its line and column in the file.
     """
-    symbols = []
-    for lineno, raw in source_lines(Path(path).read_text(encoding="utf-8-sig")):
-        line = raw.strip()
+    symbols = {}  # insertion-ordered set of the entries read so far
+    for lineno, raw in source_lines(read_source(path)):
+        line = raw.strip(SEPARATORS)
         if not TOKEN_PATTERN.fullmatch(line):
             raise MalformedTokenError(
-                f"vocabulary entry {line!r} is not a namespaced symbol",
-                lineno,
-                raw.find(line) + 1,
+                f"vocabulary entry {line!r} is not a namespaced symbol", lineno, raw.find(line) + 1
             )
-        symbols.append(line)
+        if line in symbols:
+            raise DuplicateSymbolError(f"duplicate symbol {line!r}", lineno, raw.find(line) + 1)
+        symbols[line] = None
     return vocabulary_from_symbols(symbols)
 
 

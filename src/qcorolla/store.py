@@ -4,8 +4,9 @@ Source files use an N-Triples-like line grammar::
 
     subject WS predicate WS object WS? '.'
 
-where WS is one or more spaces or tabs and every token is a namespaced
-symbol ``ns:Value`` matching ``[A-Za-z][A-Za-z0-9_]*:[A-Za-z0-9_]+``.
+where WS is one or more spaces or tabs (no other Unicode space separates
+tokens) and every token is a namespaced symbol ``ns:Value`` matching
+``[A-Za-z][A-Za-z0-9_]*:[A-Za-z0-9_]+``.
 ``#`` lines are comments, and a leading UTF-8 byte-order mark is skipped.
 Only LF, CR LF and CR end a line (``qusym.source_lines``).
 Only forward predicate names are legal in the predicate position; a statement
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .corolla import (
     ConverseRegistry,
@@ -36,9 +37,18 @@ from .errors import (
     BackwardPredicateInSubjectPositionError,
     MalformedTokenError,
     MissingTerminatorError,
+    UnknownNodeSymbolError,
     UnknownPredicateError,
 )
-from .qusym import TOKEN_PATTERN, Vocabulary, load_vocabulary, save_vocabulary, source_lines
+from .qusym import (
+    SEPARATORS,
+    TOKEN_PATTERN,
+    Vocabulary,
+    load_vocabulary,
+    read_source,
+    save_vocabulary,
+    source_lines,
+)
 
 SNAPSHOT_FORMAT_VERSION = 1
 
@@ -56,8 +66,25 @@ class Statement:
     def triple(self) -> Tuple[str, str, str]:
         return (self.subject, self.predicate, self.object)
 
+    def column(self, index: int) -> int:
+        """Column of the subject (0), predicate (1) or object (2) in its line,
+        here the canonical one (``serialize``)."""
+        return _canonical_columns(self.subject, self.predicate)[index]
+
     def serialize(self) -> str:
         return f"{self.subject} {self.predicate} {self.object} ."
+
+
+@dataclass(frozen=True, slots=True)
+class _SpacedStatement(Statement):
+    """A statement read from a line not in canonical form keeps its tokens'
+    columns. Canonical lines, the common case, make a plain ``Statement``:
+    one more slot moves every object to a larger allocation size class."""
+
+    columns: Tuple[int, int, int] = (1, 1, 1)
+
+    def column(self, index: int) -> int:
+        return self.columns[index]
 
 
 @dataclass(frozen=True)
@@ -71,16 +98,20 @@ class TripleDocument:
         return "".join(f"{s.serialize()}\n" for s in self.statements)
 
 
+def _canonical_columns(subject: str, predicate: str) -> Tuple[int, int, int]:
+    return (1, len(subject) + 2, len(subject) + len(predicate) + 3)
+
+
 def parse_triple_line(line: str, lineno: int = 1) -> Statement | None:
     """Parse one source line; returns None for blank and comment lines.
 
-    Raises ``MalformedTokenError`` or ``MissingTerminatorError`` with the
-    line and column of the fault.
+    Only spaces and tabs separate tokens. Raises ``MalformedTokenError`` or
+    ``MissingTerminatorError`` with the line and column of the fault.
     """
-    stripped = line.strip()
+    body = line.rstrip(SEPARATORS + "\r\n")  # a line passed in with its line end
+    stripped = body.lstrip(SEPARATORS)
     if not stripped or stripped.startswith("#"):
         return None
-    body = line.rstrip()
     if not body.endswith("."):
         raise MissingTerminatorError("statement must end with '.'", lineno, len(body) + 1)
     body = body[:-1]
@@ -101,7 +132,11 @@ def parse_triple_line(line: str, lineno: int = 1) -> Statement | None:
             raise MalformedTokenError(
                 f"token {token!r} is not a namespaced symbol", lineno, col
             )
-    return Statement(tokens[0][0], tokens[1][0], tokens[2][0], lineno)
+    (s, s_column), (p, p_column), (o, o_column) = tokens
+    columns = (s_column, p_column, o_column)
+    if columns == _canonical_columns(s, p):
+        return Statement(s, p, o, lineno)
+    return _SpacedStatement(s, p, o, lineno, columns)
 
 
 def parse_triples_text(text: str) -> TripleDocument:
@@ -109,7 +144,7 @@ def parse_triples_text(text: str) -> TripleDocument:
 
 
 def load_triples(path: str | Path) -> TripleDocument:
-    return parse_triples_text(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_triples_text(read_source(path))
 
 
 @dataclass
@@ -129,7 +164,8 @@ def ingest_document(
 
     Exact duplicate statements are skipped with a warning count. A
     statement whose predicate is a backward name must match an existing
-    edge's converse reading; otherwise it is rejected.
+    edge's converse reading; otherwise it is rejected. Every rejection
+    carries the statement's line and the column of the offending token.
     """
     graph = CorollaGraph(vocabulary, registry)
     duplicates = 0
@@ -138,7 +174,7 @@ def ingest_document(
         s, p, o = statement.triple
         if p not in registry:
             raise UnknownPredicateError(
-                f"line {statement.line}: predicate {p!r} not registered"
+                f"predicate {p!r} not registered", statement.line, statement.column(1)
             )
         if registry.is_backward(p):
             forward_key = converse_statement(registry, (s, p, o))
@@ -146,14 +182,19 @@ def ingest_document(
                 folded += 1
                 continue
             raise BackwardPredicateInSubjectPositionError(
-                f"line {statement.line}: {p!r} is a backward predicate and no edge "
-                f"{forward_key} exists to fold onto"
+                f"{p!r} is a backward predicate and no edge {forward_key} exists to fold onto",
+                statement.line,
+                statement.column(1),
             )
         if graph.triple_id_of((s, p, o)) is not None:
             duplicates += 1
             continue
-        left = graph.make_corolla(s, p)
-        right = graph.make_corolla(o, registry.converse_name(p))
+        try:
+            left = graph.make_corolla(s, p)
+            right = graph.make_corolla(o, registry.converse_name(p))
+        except UnknownNodeSymbolError as exc:
+            at = statement.column(0 if s not in vocabulary else 2)
+            raise UnknownNodeSymbolError(str(exc), statement.line, at) from None
         graph.join(left, right)
     return IngestResult(
         graph=graph,
@@ -176,9 +217,8 @@ def ingest(
 # -- queries -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorollaView:
-    """One half-edge of a node, with its pairing if joined."""
+class CorollaView(NamedTuple):
+    """One half-edge of a node, with its pairing if joined (an immutable named tuple)."""
 
     predicate: str
     direction: str
@@ -208,30 +248,19 @@ class NodeReport:
 def query_node(graph: CorollaGraph, symbol: str) -> NodeReport:
     """Owned corollas in id order, their partners, and both orientations of each triple."""
     views = []
-    readings = {}  # triple id -> (forward, converse); a self-loop's two ends share one
-    for corolla in graph.half_edges_of(symbol):
-        triple_id = graph.edge_of(corolla)
+    readings = []  # forward then converse reading of each triple, at its first half-edge
+    for corolla, triple_id, forward, backward in graph.walk_half_edges(symbol):
+        predicate = corolla.predicate
         partner = None
         if triple_id is not None:
-            forward, backward = graph.edge_corollas(triple_id)
-            partner = backward if corolla.half_edge_id == forward.half_edge_id else forward
-            if triple_id not in readings:
+            other = backward if corolla is forward else forward
+            partner = other.node
+            # both half-edges of a self-loop are the node's: read its triple at the lower id
+            if partner != symbol or corolla.half_edge_id < other.half_edge_id:
                 s, o = forward.node, backward.node
-                readings[triple_id] = (
-                    (s, forward.predicate.name, o),
-                    (o, backward.predicate.name, s),
-                )
-        views.append(
-            CorollaView(
-                predicate=corolla.predicate.name,
-                direction=corolla.predicate.direction,
-                half_weight=corolla.predicate.half_weight,
-                partner=None if partner is None else partner.node,
-                triple_id=triple_id,
-            )
-        )
-    flat = tuple(reading for pair in readings.values() for reading in pair)
-    return NodeReport(symbol=symbol, corollas=tuple(views), readings=flat)
+                readings += ((s, forward.predicate.name, o), (o, backward.predicate.name, s))
+        views.append(CorollaView(predicate.name, predicate.direction, predicate.half_weight, partner, triple_id))
+    return NodeReport(symbol=symbol, corollas=tuple(views), readings=tuple(readings))
 
 
 # -- export -------------------------------------------------------------------

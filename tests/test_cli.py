@@ -252,6 +252,49 @@ def test_bare_vocabulary_entry_exits_one(kinship_paths, tmp_path, capsys, comman
     assert "Traceback" not in err
 
 
+# bad source file -> (file index: 0 vocabulary, 1 registry, 2 triples, its bytes, stderr's first line)
+BAD_SOURCES = {
+    "unknown node symbol": (
+        2, b"person:Bob kin:ParentOf person:Alice .\nperson:Bob kin:HusbandOf  person:Zed .\n",
+        "error: line 2, column 27: node symbol 'person:Zed' not in vocabulary",
+    ),
+    "unknown predicate": (
+        2, b"person:Bob\tkin:Foo person:Alice .\n",
+        "error: line 1, column 12: predicate 'kin:Foo' not registered",
+    ),
+    "duplicate vocabulary symbol": (
+        0, b"person:Bob\nperson:Alice\n# again\n  person:Bob\n",
+        "error: line 4, column 3: duplicate symbol 'person:Bob'",
+    ),
+    "predicate registered twice": (
+        1, b"kin:ParentOf <-> kin:ChildOf = 0.4\nkin:A <-> kin:B = 1.0\nkin:A <-> kin:C = 0.5\n",
+        "error: line 3, column 1: predicate 'kin:A' already registered",
+    ),
+    "invalid utf-8": (
+        2, b"person:Bob kin:ParentOf person:Alice .\r\nperson:Bob kin:HusbandOf person:M\xffary .\r\n",
+        "error: line 2, column 34: byte 0xff is not UTF-8 (invalid start byte)",
+    ),
+    "invalid utf-8 after a byte-order mark": (
+        0, b"\xef\xbb\xbfperson:Bob\xc3\n",
+        "error: line 1, column 11: byte 0xc3 is not UTF-8 (invalid continuation byte)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SOURCES))
+def test_bad_source_reports_line_and_column(kinship_paths, tmp_path, capsys, case):
+    index, content, first_line = BAD_SOURCES[case]
+    kinship_paths[index].write_bytes(content)
+    vocab, registry, triples = kinship_paths
+    code = cli_dispatch(["ingest", "--vocab", str(vocab), "--registry", str(registry),
+                         "--triples", str(triples), "--store", str(tmp_path / "store")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [first_line]
+    assert not (tmp_path / "store").exists()
+
+
 # commands that must run without importing numpy, with the arguments after the command name
 NUMPY_FREE = {
     "query": ["person:Bob"],

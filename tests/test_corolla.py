@@ -455,6 +455,40 @@ def test_node_index_matches_scan_large_graph(large_random_graph):
     assert_index_matches_scan(large_random_graph)
 
 
+def assert_walk_matches_lookups(graph):
+    """The walk yields what half_edges_of, edge_of and edge_corollas give per half-edge."""
+    for node in graph.nodes():
+        expected = []
+        for corolla in graph.half_edges_of(node):
+            triple_id = graph.edge_of(corolla)
+            ends = (None, None) if triple_id is None else graph.edge_corollas(triple_id)
+            expected.append((corolla, triple_id, *ends))
+        walked = list(graph.walk_half_edges(node))
+        assert walked == expected
+        assert all(a is b for row, want in zip(walked, expected) for a, b in zip(row, want))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=2**31))
+def test_walk_half_edges_matches_lookups_random_graphs(n_triples, seed):
+    graph = build_random_graph(n_triples, seed) if n_triples else fresh_graph()
+    forward, _, _ = next(graph.registry.pairs())
+    graph.make_corolla(graph.node_vocabulary.symbol(0), forward)
+    graph.add_node(graph.node_vocabulary.symbol(1))
+    assert_walk_matches_lookups(graph)
+
+
+def test_walk_half_edges_matches_lookups_large_graph(large_random_graph):
+    assert_walk_matches_lookups(large_random_graph)
+
+
+def test_walk_half_edges_unknown_node_raises_on_call():
+    graph = fresh_graph()
+    graph.add_node("person:Bob")
+    with pytest.raises(UnknownNodeError):
+        graph.walk_half_edges("person:Mary")  # raised before any iteration
+
+
 def test_edge_conservation_large_graph(large_random_graph):
     graph = large_random_graph
     assert graph.edge_count == 10_000
@@ -516,3 +550,23 @@ def test_weights_survive_file_roundtrip_exactly(tmp_path):
     loaded = load_registry(path)
     for fwd, _, weight in registry.pairs():
         assert loaded.total_weight(fwd) == weight
+
+
+# source position of each registry fault: (line 2 of the file, column)
+REGISTRY_FAULTS = {
+    "duplicate": ("kin:Sib <-> kin:ParentOf = 0.5", AlreadyRegisteredError, 13),
+    "self-converse": ("kin:Sib <-> kin:Sib = 0.5", SelfConverseError, 13),
+    "weight above 1": ("kin:A <-> kin:B =\t1.5", WeightOutOfRangeError, 19),
+    "weight not a number": ("kin:A <-> kin:B = 1..5", MalformedTokenError, 19),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(REGISTRY_FAULTS))
+def test_registry_file_fault_has_line_and_column(tmp_path, fault):
+    line, error, column = REGISTRY_FAULTS[fault]
+    path = tmp_path / "registry.txt"
+    path.write_text(f"kin:ParentOf <-> kin:ChildOf = 0.4\n{line}\n", encoding="utf-8")
+    with pytest.raises(error) as excinfo:
+        load_registry(path)
+    assert (excinfo.value.line, excinfo.value.column) == (2, column)
+    assert str(excinfo.value).startswith(f"line 2, column {column}: ")

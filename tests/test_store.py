@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -166,6 +167,44 @@ def test_cr_lf_and_cr_sources_load_like_lf(kinship_paths, ending):
     assert excinfo.value.line == 2
 
 
+# Unicode spaces that separate nothing: NBSP, VT, FF, NEL, LS and the ideographic space
+NOT_SEPARATORS = ["\xa0", "\x0b", "\x0c", "\x85", "\u2028", "\u3000"]
+
+# source kind -> (lines 1 and 2 with the character at {}, column of the diagnostic on line 2)
+SPACED_LINE = {
+    "vocabulary leading": ("person:Bob\n{}person:Alice\nperson:Mary\n", 1),
+    "vocabulary trailing": ("person:Bob\nperson:Alice{}\nperson:Mary\n", 1),
+    "vocabulary alone": ("person:Bob\n{}\nperson:Alice\nperson:Mary\n", 1),
+    "registry": ("kin:HusbandOf <-> kin:WifeOf = 1.0\nkin:ParentOf{}<-> kin:ChildOf = 0.4\n", 1),
+    "registry alone": ("kin:HusbandOf <-> kin:WifeOf = 1.0\n{}\nkin:ParentOf <-> kin:ChildOf = 0.4\n", 1),
+    "triples leading": ("person:Bob kin:ParentOf person:Alice .\n{}person:Bob kin:HusbandOf person:Mary .\n", 1),
+    # the line is not blank, and its statement lacks the '.' after the character
+    "triples alone": ("person:Bob kin:ParentOf person:Alice .\n{}\n", 2),
+}
+
+
+@pytest.mark.parametrize("char", NOT_SEPARATORS, ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize("case", sorted(SPACED_LINE))
+def test_only_space_and_tab_separate(kinship_paths, char, case):
+    paths = dict(zip(("vocabulary", "registry", "triples"), kinship_paths))
+    text, column = SPACED_LINE[case]
+    paths[case.split()[0]].write_text(text.format(char), encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        ingest(*kinship_paths)
+    assert (excinfo.value.line, excinfo.value.column) == (2, column)
+
+
+def test_space_and_tab_still_separate(kinship_paths):
+    expected = ingest(*kinship_paths)
+    vocab, registry, _ = kinship_paths
+    vocab.write_text(" \tperson:Bob\t\nperson:Alice  \n \t \nperson:Mary\n", encoding="utf-8")
+    registry.write_text("\tkin:ParentOf <->\tkin:ChildOf = 0.4 \nkin:HusbandOf<->kin:WifeOf=1.0\n",
+                        encoding="utf-8")
+    result = ingest(*kinship_paths)
+    assert result.graph.node_vocabulary.entries == expected.graph.node_vocabulary.entries
+    assert list(result.graph.registry.pairs()) == list(expected.graph.registry.pairs())
+
+
 LINE_PIECES = ["a:X", "r:F", "x", ":", ".", " ", "\t", "#", "\n", "\r", "\x0b", "\x85", "\u2028", "\ufeff"]
 
 
@@ -230,6 +269,35 @@ def test_ingest_unknown_node(kinship_paths):
     triples.write_text("person:Zed kin:ParentOf person:Alice .\n", encoding="utf-8")
     with pytest.raises(UnknownNodeSymbolError):
         ingest(vocab, registry, triples)
+
+
+# (triples line, error, column of the offending token); tabs and double spaces move the columns
+TRIPLE_FAULTS = {
+    "unknown subject": ("person:Zed kin:ParentOf person:Alice .", UnknownNodeSymbolError, 1),
+    "unknown object": ("person:Bob\tkin:ParentOf  person:Zed .", UnknownNodeSymbolError, 26),
+    "unknown predicate": ("person:Bob  kin:Foo person:Alice .", UnknownPredicateError, 13),
+    "backward predicate": ("person:Alice kin:ChildOf person:Bob .", BackwardPredicateInSubjectPositionError, 14),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(TRIPLE_FAULTS))
+def test_ingest_fault_has_line_and_column(kinship_paths, fault):
+    line, error, column = TRIPLE_FAULTS[fault]
+    vocab, registry, triples = kinship_paths
+    triples.write_text(f"# first line\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(error) as excinfo:
+        ingest(vocab, registry, triples)
+    assert (excinfo.value.line, excinfo.value.column) == (3, column)
+    assert str(excinfo.value).startswith(f"line 3, column {column}: ")
+
+
+def test_statement_columns_kept_only_off_canonical_form():
+    canonical = parse_triple_line("a:X r:F a:Y .", lineno=2)
+    spaced = parse_triple_line("  a:X\tr:F  a:Y .", lineno=2)
+    assert [canonical.column(i) for i in range(3)] == [1, 5, 9]
+    assert [spaced.column(i) for i in range(3)] == [3, 7, 12]
+    assert canonical.triple == spaced.triple
+    assert sys.getsizeof(canonical) < sys.getsizeof(spaced)
 
 
 def test_ingest_every_statement_yields_one_edge():
@@ -305,6 +373,30 @@ def test_query_self_loop_lists_both_half_edges_once():
         ("r:B", "a:X", "t1"),
     ]
     assert report.readings == (("a:X", "r:F", "a:X"), ("a:X", "r:B", "a:X"))
+
+
+def test_query_self_loop_made_backward_first_reads_triple_at_lower_id():
+    voc = vocabulary_from_symbols(["a:X", "a:Y"])
+    registry = ConverseRegistry().register_converse("r:F", "r:B", 0.5)
+    graph = ingest_document(voc, registry, parse_triples_text("a:Y r:F a:X .\n")).graph
+    backward = graph.make_corolla("a:X", "r:B")
+    graph.join(graph.make_corolla("a:X", "r:F"), backward)
+    report = query_node(graph, "a:X")
+    assert [(v.predicate, v.triple_id) for v in report.corollas] == [("r:B", "t1"), ("r:B", "t2"), ("r:F", "t2")]
+    assert report.readings == (
+        ("a:Y", "r:F", "a:X"), ("a:X", "r:B", "a:Y"), ("a:X", "r:F", "a:X"), ("a:X", "r:B", "a:X"),
+    )
+    assert query_node(graph, "a:X").lines() == scan_and_sort_query_node(graph, "a:X").lines()
+
+
+def test_corolla_view_is_an_immutable_value():
+    view = CorollaView("r:F", "forward", 0.25, "a:Y", "t1")
+    assert view == CorollaView(predicate="r:F", direction="forward", half_weight=0.25,
+                               partner="a:Y", triple_id="t1")
+    assert view == ("r:F", "forward", 0.25, "a:Y", "t1")
+    assert view._fields == ("predicate", "direction", "half_weight", "partner", "triple_id")
+    with pytest.raises(AttributeError):
+        view.partner = "a:Z"
 
 
 def scan_and_sort_query_node(graph, symbol):
@@ -392,6 +484,19 @@ def test_export_reingest_roundtrip_byte_identical(kinship_paths, tmp_path):
 
     result = ingest_document(load_vocabulary(vocab), load_registry(registry), document)
     second = tmp_path / "second.jsonl"
+    export_jsonl(result.graph, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=80), st.integers(min_value=0, max_value=2**31))
+def test_export_reingest_export_is_a_fixed_point(tmp_path_factory, n_triples, seed):
+    graph = build_random_graph(n_triples, seed)
+    first = tmp_path_factory.mktemp("export") / "first.jsonl"
+    assert export_jsonl(graph, first) == n_triples
+    result = ingest_document(graph.node_vocabulary, graph.registry, load_jsonl(first))
+    assert (result.duplicates, result.folded) == (0, 0)
+    second = first.with_name("second.jsonl")
     export_jsonl(result.graph, second)
     assert first.read_bytes() == second.read_bytes()
 
