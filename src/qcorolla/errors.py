@@ -10,10 +10,14 @@ class QcorollaError(Exception):
 
     An error found in a source file carries the ``line`` and ``column`` of
     the fault, and its message starts with them; elsewhere both are None.
+    A fault in a source without columns carries only its line.
     """
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
+        if line is not None:
+            at = f"line {line}" if column is None else f"line {line}, column {column}"
+            message = f"{at}: {message}"
+        super().__init__(message)
         self.line = line
         self.column = column
 

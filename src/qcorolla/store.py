@@ -22,7 +22,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -55,36 +55,25 @@ SNAPSHOT_FORMAT_VERSION = 1
 
 @dataclass(frozen=True, slots=True)
 class Statement:
-    """One parsed (subject, predicate, object) line with its source position."""
+    """One parsed (subject, predicate, object) line with its source position.
+
+    ``columns`` holds the columns of the subject, predicate and object in a
+    triples line; a statement read from another source (``load_jsonl``) has
+    none, and its faults name only the line.
+    """
 
     subject: str
     predicate: str
     object: str
     line: int = 0
+    columns: Tuple[int, int, int] | None = field(default=None, compare=False)
 
     @property
     def triple(self) -> Tuple[str, str, str]:
         return (self.subject, self.predicate, self.object)
 
-    def column(self, index: int) -> int:
-        """Column of the subject (0), predicate (1) or object (2) in its line,
-        here the canonical one (``serialize``)."""
-        return _canonical_columns(self.subject, self.predicate)[index]
-
     def serialize(self) -> str:
         return f"{self.subject} {self.predicate} {self.object} ."
-
-
-@dataclass(frozen=True, slots=True)
-class _SpacedStatement(Statement):
-    """A statement read from a line not in canonical form keeps its tokens'
-    columns. Canonical lines, the common case, make a plain ``Statement``:
-    one more slot moves every object to a larger allocation size class."""
-
-    columns: Tuple[int, int, int] = (1, 1, 1)
-
-    def column(self, index: int) -> int:
-        return self.columns[index]
 
 
 @dataclass(frozen=True)
@@ -98,10 +87,6 @@ class TripleDocument:
         return "".join(f"{s.serialize()}\n" for s in self.statements)
 
 
-def _canonical_columns(subject: str, predicate: str) -> Tuple[int, int, int]:
-    return (1, len(subject) + 2, len(subject) + len(predicate) + 3)
-
-
 def parse_triple_line(line: str, lineno: int = 1) -> Statement | None:
     """Parse one source line; returns None for blank and comment lines.
 
@@ -113,7 +98,16 @@ def parse_triple_line(line: str, lineno: int = 1) -> Statement | None:
     if not stripped or stripped.startswith("#"):
         return None
     if not body.endswith("."):
-        raise MissingTerminatorError("statement must end with '.'", lineno, len(body) + 1)
+        dot = body.rfind(".")
+        if dot < 0:
+            raise MissingTerminatorError("statement must end with '.'", lineno, len(body) + 1)
+        after = body[dot + 1 :]
+        at = dot + 1 + len(after) - len(after.lstrip(SEPARATORS))
+        raise MissingTerminatorError(
+            f"statement must end with '.', but {body[at]!r} (U+{ord(body[at]):04X}) follows it",
+            lineno,
+            at + 1,
+        )
     body = body[:-1]
     tokens: List[Tuple[str, int]] = []
     column = 1
@@ -133,10 +127,7 @@ def parse_triple_line(line: str, lineno: int = 1) -> Statement | None:
                 f"token {token!r} is not a namespaced symbol", lineno, col
             )
     (s, s_column), (p, p_column), (o, o_column) = tokens
-    columns = (s_column, p_column, o_column)
-    if columns == _canonical_columns(s, p):
-        return Statement(s, p, o, lineno)
-    return _SpacedStatement(s, p, o, lineno, columns)
+    return Statement(s, p, o, lineno, (s_column, p_column, o_column))
 
 
 def parse_triples_text(text: str) -> TripleDocument:
@@ -157,6 +148,10 @@ class IngestResult:
     folded: int
 
 
+def _column(statement: Statement, index: int) -> int | None:
+    return statement.columns[index] if statement.columns else None
+
+
 def ingest_document(
     vocabulary: Vocabulary, registry: ConverseRegistry, document: TripleDocument
 ) -> IngestResult:
@@ -165,7 +160,8 @@ def ingest_document(
     Exact duplicate statements are skipped with a warning count. A
     statement whose predicate is a backward name must match an existing
     edge's converse reading; otherwise it is rejected. Every rejection
-    carries the statement's line and the column of the offending token.
+    carries the statement's line and, for a statement read from triples
+    text, the column of the offending token.
     """
     graph = CorollaGraph(vocabulary, registry)
     duplicates = 0
@@ -174,7 +170,7 @@ def ingest_document(
         s, p, o = statement.triple
         if p not in registry:
             raise UnknownPredicateError(
-                f"predicate {p!r} not registered", statement.line, statement.column(1)
+                f"predicate {p!r} not registered", statement.line, _column(statement, 1)
             )
         if registry.is_backward(p):
             forward_key = converse_statement(registry, (s, p, o))
@@ -184,7 +180,7 @@ def ingest_document(
             raise BackwardPredicateInSubjectPositionError(
                 f"{p!r} is a backward predicate and no edge {forward_key} exists to fold onto",
                 statement.line,
-                statement.column(1),
+                _column(statement, 1),
             )
         if graph.triple_id_of((s, p, o)) is not None:
             duplicates += 1
@@ -193,7 +189,7 @@ def ingest_document(
             left = graph.make_corolla(s, p)
             right = graph.make_corolla(o, registry.converse_name(p))
         except UnknownNodeSymbolError as exc:
-            at = statement.column(0 if s not in vocabulary else 2)
+            at = _column(statement, 0 if s not in vocabulary else 2)
             raise UnknownNodeSymbolError(str(exc), statement.line, at) from None
         graph.join(left, right)
     return IngestResult(

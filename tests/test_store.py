@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -34,8 +33,8 @@ from qcorolla.store import (
     query_node,
     save_snapshot,
 )
-from qcorolla.corolla import ConverseRegistry
-from qcorolla.qusym import vocabulary_from_symbols
+from qcorolla.corolla import ConverseRegistry, load_registry
+from qcorolla.qusym import load_vocabulary, vocabulary_from_symbols
 
 
 # --- line parser ---------------------------------------------------------------
@@ -180,6 +179,9 @@ SPACED_LINE = {
     "triples leading": ("person:Bob kin:ParentOf person:Alice .\n{}person:Bob kin:HusbandOf person:Mary .\n", 1),
     # the line is not blank, and its statement lacks the '.' after the character
     "triples alone": ("person:Bob kin:ParentOf person:Alice .\n{}\n", 2),
+    # the line ends in the character, which is reported where it stands
+    "triples trailing": ("person:Bob kin:ParentOf person:Alice .\nperson:Bob kin:HusbandOf person:Mary .{}\n", 39),
+    "triples trailing spaced": ("person:Bob kin:ParentOf person:Alice .\nperson:Bob kin:HusbandOf person:Mary . \t{} \n", 41),
 }
 
 
@@ -192,6 +194,8 @@ def test_only_space_and_tab_separate(kinship_paths, char, case):
     with pytest.raises(ParseError) as excinfo:
         ingest(*kinship_paths)
     assert (excinfo.value.line, excinfo.value.column) == (2, column)
+    if case.startswith("triples trailing"):
+        assert f"U+{ord(char):04X}" in str(excinfo.value)
 
 
 def test_space_and_tab_still_separate(kinship_paths):
@@ -291,13 +295,25 @@ def test_ingest_fault_has_line_and_column(kinship_paths, fault):
     assert str(excinfo.value).startswith(f"line 3, column {column}: ")
 
 
-def test_statement_columns_kept_only_off_canonical_form():
+def test_statement_keeps_its_token_columns():
     canonical = parse_triple_line("a:X r:F a:Y .", lineno=2)
     spaced = parse_triple_line("  a:X\tr:F  a:Y .", lineno=2)
-    assert [canonical.column(i) for i in range(3)] == [1, 5, 9]
-    assert [spaced.column(i) for i in range(3)] == [3, 7, 12]
-    assert canonical.triple == spaced.triple
-    assert sys.getsizeof(canonical) < sys.getsizeof(spaced)
+    assert canonical.columns == (1, 5, 9)
+    assert spaced.columns == (3, 7, 12)
+    # columns are where a statement was written, not what it says
+    assert canonical == spaced == Statement("a:X", "r:F", "a:Y", 2)
+
+
+def test_exported_statement_fault_names_only_its_line(kinship_paths, tmp_path):
+    vocab, registry, _ = kinship_paths
+    path = tmp_path / "edges.jsonl"
+    path.write_text(json.dumps({"s": "person:Bob", "p": "kin:Foo", "o": "person:Alice"}) + "\n")
+    document = load_jsonl(path)
+    assert document.statements[0].columns is None
+    with pytest.raises(UnknownPredicateError) as excinfo:
+        ingest_document(load_vocabulary(vocab), load_registry(registry), document)
+    assert (excinfo.value.line, excinfo.value.column) == (1, None)
+    assert str(excinfo.value) == "line 1: predicate 'kin:Foo' not registered"
 
 
 def test_ingest_every_statement_yields_one_edge():
