@@ -7,7 +7,10 @@ identical output.
 
 Each handler imports only the layers its command runs: the store commands
 and the closed-form ``entangle`` and ``entropy`` start without numpy, which
-only ``measure``, ``bind`` and ``round`` load.
+only ``measure``, ``bind`` and ``round`` load. Every store command opens
+the snapshot through ``store.open_snapshot``; only ``validate``, ``query``
+and ``export`` build the graph, while ``entangle``, ``measure`` and
+``entropy --triple`` read one line of it and ``entropy --node-vocab`` only d.
 """
 
 from __future__ import annotations
@@ -133,16 +136,27 @@ def _cmd_query(args) -> int:
     return 0
 
 
+def _triple_state(args, basis_choice=None):
+    """The triple named on the command line and its joint state, read
+    straight from the snapshot's files."""
+    from . import entangle
+
+    triple = store.read_triple(args.store, args.triple)
+    joint = entangle.triple_joint_state(
+        triple.d, triple.subject_index, triple.object_index, triple.weight, basis_choice
+    )
+    return triple, joint
+
+
 def _cmd_entangle(args) -> int:
     from . import entangle
 
-    graph = store.load_snapshot(args.store)
-    joint = entangle.synthesize_joint_state(graph, args.triple, basis_choice=args.basis)
+    triple, joint = _triple_state(args, args.basis)
     # the synthesized amplitudes are real, and only the two Schmidt terms can be nonzero
     amplitudes = {str(i): [a, 0.0] for i, a in joint.support() if a != 0}
     payload = {
         "triple": args.triple,
-        "statement": list(graph.triple(args.triple)),
+        "statement": list(triple.statement),
         "dims": list(joint.dims),
         "basis": list(joint.basis),
         "target_entropy": joint.target_entropy,
@@ -156,22 +170,20 @@ def _cmd_entangle(args) -> int:
 def _cmd_measure(args) -> int:
     from . import entangle
 
-    graph = store.load_snapshot(args.store)
-    joint = entangle.synthesize_joint_state(graph, args.triple)
+    _, joint = _triple_state(args)
     record = entangle.measure(joint, shots=args.shots, seed=args.seed)
     print(json.dumps(record.as_dict(), sort_keys=True))
     return 0
 
 
 def _cmd_entropy(args) -> int:
-    graph = store.load_snapshot(args.store)
-    if args.triple:
+    if args.triple is not None:
         from . import entangle
 
-        joint = entangle.synthesize_joint_state(graph, args.triple)
+        _, joint = _triple_state(args)
         value = entangle.measure_entanglement(joint, base=args.base)
     else:
-        value = qusym.uniform_entropy(graph.node_vocabulary.d, base=args.base)
+        value = qusym.uniform_entropy(store.open_snapshot(args.store).d, base=args.base)
     print(f"{value:.6f}")
     return 0
 

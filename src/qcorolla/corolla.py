@@ -18,6 +18,7 @@ concurrently between mutations.
 
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +29,7 @@ from .errors import (
     AlreadyRegisteredError,
     MalformedTokenError,
     NotConverseError,
+    QcorollaError,
     SelfConverseError,
     SelfJoinError,
     UnknownNodeError,
@@ -165,6 +167,10 @@ class ConverseRegistry:
     def __len__(self) -> int:
         return len(self._pairs) // 2
 
+    def serialize(self) -> str:
+        """Canonical text: ``forward <-> backward = p`` lines sorted by forward name, LF endings."""
+        return "".join(sorted(f"{f} <-> {b} = {w!r}\n" for f, b, w in self.pairs()))
+
 
 def converse_statement(registry: ConverseRegistry, triple: Triple) -> Triple:
     """The converse reading (o, converse predicate, s); an involution."""
@@ -195,6 +201,59 @@ class CorollaGraph:
         self._edge_of: Dict[int, str] = {}
         self._triples: Dict[str, Tuple[int, int]] = {}
         self._triple_keys: Dict[Triple, str] = {}
+
+    @classmethod
+    def from_canonical_lines(
+        cls, node_vocabulary: Vocabulary, registry: ConverseRegistry, lines: List[str]
+    ) -> "CorollaGraph":
+        """The graph that ingesting canonical triples lines builds, index for index.
+
+        Each line is ``s p o .`` with single spaces and a forward predicate,
+        no line repeats, and line K becomes triple ``tK`` with half-edges
+        2K - 1 (subject) and 2K (object), as ``join`` numbers them. The five
+        indexes are filled directly: each token costs one dict lookup, with
+        no token regex and no per-join converse or duplicate check. A symbol
+        or predicate that is not known raises with its line and column, and
+        a repeated line raises ``AlreadyPairedError``. The garbage collector
+        is paused while the indexes grow.
+        """
+        graph = cls(node_vocabulary, registry)
+        # each node keeps the vocabulary's own string and each key the registry's name
+        symbols = dict(zip(node_vocabulary.entries, node_vocabulary.entries))
+        forward = {f: (registry.directed(f), registry.directed(b)) for f, b, _ in registry.pairs()}
+        owned, half_edges, edge_of = graph._owned, graph._half_edges, graph._edge_of
+        triples, keys = graph._triples, graph._triple_keys
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for k, line in enumerate(lines, start=1):
+                try:
+                    s, p, o, dot = line.split(" ")
+                    fwd, bwd = forward[p]
+                    s, o = symbols[s], symbols[o]
+                except (ValueError, KeyError):
+                    raise _line_fault(graph, line, k) from None
+                if dot != ".":
+                    raise _line_fault(graph, line, k)
+                tid = f"t{k}"
+                left = 2 * k - 1
+                half_edges[left] = Corolla(s, fwd, left)
+                half_edges[left + 1] = Corolla(o, bwd, left + 1)
+                edge_of[left] = edge_of[left + 1] = tid
+                triples[tid] = (left, left + 1)
+                keys[(s, fwd.name, o)] = tid
+                for node, h in ((s, left), (o, left + 1)):
+                    ids = owned.get(node)
+                    if ids is None:
+                        owned[node] = [h]
+                    else:
+                        ids.append(h)
+        finally:
+            if collecting:
+                gc.enable()
+        if len(keys) != len(triples):
+            raise AlreadyPairedError(f"{len(triples) - len(keys)} triple line(s) repeat an earlier one")
+        return graph
 
     # -- nodes ---------------------------------------------------------
 
@@ -339,7 +398,8 @@ class CorollaGraph:
         return self._triple_keys.get(triple)
 
     def triples(self) -> Dict[str, Triple]:
-        return {tid: self.triple(tid) for tid in self._triples}
+        """Every stored (s, p, o) by triple id, in id order."""
+        return {tid: triple for triple, tid in self._triple_keys.items()}
 
     def triple_ids(self) -> Tuple[str, ...]:
         return tuple(self._triples)
@@ -398,6 +458,21 @@ class CorollaGraph:
         return report
 
 
+def _line_fault(graph: CorollaGraph, line: str, lineno: int) -> QcorollaError:
+    """The first fault of a triples line that ``from_canonical_lines`` rejected."""
+    tokens = line.split(" ")
+    if len(tokens) != 4 or tokens[3] != ".":
+        return MalformedTokenError(f"expected canonical 's p o .', got {line!r}", lineno, 1)
+    s, p, o, _ = tokens
+    p_column, o_column = len(s) + 2, len(s) + len(p) + 3
+    if p not in graph.registry:
+        return UnknownPredicateError(f"predicate {p!r} not registered", lineno, p_column)
+    if graph.registry.is_backward(p):
+        return MalformedTokenError(f"{p!r} is a backward predicate", lineno, p_column)
+    symbol, at = (s, 1) if s not in graph.node_vocabulary else (o, o_column)
+    return UnknownNodeSymbolError(f"node symbol {symbol!r} not in vocabulary", lineno, at)
+
+
 # -- registry file format ----------------------------------------------------
 
 # fields are separated by spaces and tabs only (qusym.SEPARATORS)
@@ -407,13 +482,18 @@ _REGISTRY_LINE = re.compile(
 
 
 def load_registry(path: str | Path) -> ConverseRegistry:
-    """Read converse pairs from ``forward <-> backward = p`` lines.
+    """Read converse pairs from a file of ``forward <-> backward = p`` lines."""
+    return parse_registry(read_source(path))
+
+
+def parse_registry(text: str) -> ConverseRegistry:
+    """Converse pairs from ``forward <-> backward = p`` lines.
 
     ``#`` lines are comments; predicate names use the namespaced token form.
-    Every fault raises with its line and column in the file.
+    Every fault raises with its line and column in the text.
     """
     registry = ConverseRegistry()
-    for lineno, raw in source_lines(read_source(path)):
+    for lineno, raw in source_lines(text):
         match = _REGISTRY_LINE.fullmatch(raw)
         if not match:
             raise MalformedTokenError(
@@ -445,5 +525,4 @@ def load_registry(path: str | Path) -> ConverseRegistry:
 
 def save_registry(registry: ConverseRegistry, path: str | Path) -> None:
     """Write pairs sorted by forward name (canonical form, LF endings)."""
-    lines = sorted(f"{f} <-> {b} = {w!r}\n" for f, b, w in registry.pairs())
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    Path(path).write_text(registry.serialize(), encoding="utf-8")

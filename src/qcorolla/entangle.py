@@ -168,13 +168,30 @@ def invert_binary_entropy(p: float) -> float:
     return min(lo, hi, key=lambda lam: abs(binary_entropy(lam) - p))
 
 
-def _default_basis(voc: Vocabulary, s: str, o: str) -> BasisChoice:
-    if voc.d < 2:
+def _default_basis(d: int, i: int, j: int) -> BasisChoice:
+    if d < 2:
         raise DegenerateBasisError("node vocabulary needs d >= 2 for a two-term state")
-    i, j = voc.index(s), voc.index(o)
     if i == j:
         i, j = 0, 1  # self-referential triple: fall back to the first two basis states
     return (i, j, i, j)
+
+
+def triple_joint_state(
+    d: int,
+    subject_index: int,
+    object_index: int,
+    weight: float,
+    basis_choice: BasisChoice | None = None,
+) -> JointState:
+    """The state realizing a triple's weight over a d-symbol vocabulary, by
+    default supported on its subject's and object's basis indices."""
+    basis = basis_choice if basis_choice is not None else _default_basis(d, subject_index, object_index)
+    return JointState(
+        lam=invert_binary_entropy(weight),
+        basis=tuple(basis),
+        dims=(d, d),
+        target_entropy=weight,
+    )
 
 
 def synthesize_joint_state(
@@ -189,15 +206,8 @@ def synthesize_joint_state(
     the subject and object symbols' basis indices on both sides.
     """
     s, p, o = graph.triple(triple_id)
-    target = graph.registry.total_weight(p)
     voc = graph.node_vocabulary
-    basis = basis_choice if basis_choice is not None else _default_basis(voc, s, o)
-    return JointState(
-        lam=invert_binary_entropy(target),
-        basis=tuple(basis),
-        dims=(voc.d, voc.d),
-        target_entropy=target,
-    )
+    return triple_joint_state(voc.d, voc.index(s), voc.index(o), graph.registry.total_weight(p), basis_choice)
 
 
 def measure_entanglement(joint: JointState, base: float = 2.0) -> float:

@@ -130,3 +130,9 @@ class SourceEncodingError(ParseError):
 
 class BackwardPredicateInSubjectPositionError(QcorollaError, ValueError):
     """Backward predicate used in a statement with no forward edge to fold onto."""
+
+
+# --- snapshots --------------------------------------------------------------
+
+class SnapshotError(QcorollaError, ValueError):
+    """Snapshot of another format version, or a file that fails its check."""

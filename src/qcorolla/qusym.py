@@ -117,6 +117,10 @@ class Vocabulary:
     def __iter__(self):
         return iter(self.entries)
 
+    def serialize(self) -> str:
+        """Canonical text: one entry per line in basis order, LF endings."""
+        return "".join(f"{s}\n" for s in self.entries)
+
 
 @dataclass(frozen=True)
 class Qusym:
@@ -306,4 +310,4 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
 
 def save_vocabulary(voc: Vocabulary, path: str | Path) -> None:
     """Write entries one per line in basis order (canonical form, LF endings)."""
-    Path(path).write_text("".join(f"{s}\n" for s in voc.entries), encoding="utf-8")
+    Path(path).write_text(voc.serialize(), encoding="utf-8")

@@ -15,14 +15,18 @@ reading of an edge already in the graph, and is folded into that edge
 rather than creating a new one.
 
 Snapshots are a directory of human-readable canonical files (vocabulary,
-registry, triples, version tag); loading and re-saving one is
-byte-identical.
+registry, triples) and ``snapshot.json``, which holds the format version,
+d, the edge count and each file's CRC-32; loading and re-saving one is
+byte-identical. Triple ``tK`` is line K of the triples file.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import zlib
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as quote  # how json.dumps quotes a str
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -31,14 +35,16 @@ from .corolla import (
     CorollaGraph,
     converse_statement,
     load_registry,
-    save_registry,
+    parse_registry,
 )
 from .errors import (
     BackwardPredicateInSubjectPositionError,
     MalformedTokenError,
     MissingTerminatorError,
+    SnapshotError,
     UnknownNodeSymbolError,
     UnknownPredicateError,
+    UnknownTripleError,
 )
 from .qusym import (
     SEPARATORS,
@@ -46,11 +52,10 @@ from .qusym import (
     Vocabulary,
     load_vocabulary,
     read_source,
-    save_vocabulary,
     source_lines,
 )
 
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,32 +267,33 @@ def query_node(graph: CorollaGraph, symbol: str) -> NodeReport:
 # -- export -------------------------------------------------------------------
 
 
-def _edge_record(graph: CorollaGraph, triple_id: str) -> Dict:
-    s, p, o = graph.triple(triple_id)
-    weight = graph.registry.total_weight(p)
-    return {
-        "s": s,
-        "p": p,
-        "o": o,
-        "converse_p": graph.registry.converse_name(p),
-        "total_weight": weight,
-        "target_entropy": weight,
-    }
-
-
 def export_jsonl(graph: CorollaGraph, path: str | Path) -> int:
     """Write one JSON object per edge in lexicographic (s, p, o) order.
 
+    Each line equals ``json.dumps(record, sort_keys=True)`` of the record
+    ``{s, p, o, converse_p, total_weight, target_entropy}``; it is streamed
+    from a per-predicate cache of its fixed parts, with no record built.
     Returns the statement count. Re-ingesting the export reproduces an
     isomorphic graph.
     """
-    records = sorted(
-        (_edge_record(graph, tid) for tid in graph.triple_ids()),
-        key=lambda r: (r["s"], r["p"], r["o"]),
-    )
-    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    Path(path).write_text(text, encoding="utf-8")
-    return len(records)
+    parts: Dict[str, Tuple[str, str, str]] = {}  # predicate -> text before o, between o and s, after s
+    statements = sorted(graph.triples().values())
+
+    def lines():
+        for s, p, o in statements:
+            fixed = parts.get(p)
+            if fixed is None:
+                weight = json.dumps(graph.registry.total_weight(p))
+                fixed = parts[p] = (
+                    f'{{"converse_p": {quote(graph.registry.converse_name(p))}, "o": ',
+                    f', "p": {quote(p)}, "s": ',
+                    f', "target_entropy": {weight}, "total_weight": {weight}}}\n',
+                )
+            yield f"{fixed[0]}{quote(o)}{fixed[1]}{quote(s)}{fixed[2]}"
+
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(lines())
+    return len(statements)
 
 
 def load_jsonl(path: str | Path) -> TripleDocument:
@@ -303,36 +309,162 @@ def load_jsonl(path: str | Path) -> TripleDocument:
 
 # -- snapshots ------------------------------------------------------------------
 
-_SNAPSHOT_FILES = ("vocabulary.txt", "registry.txt", "triples.nt", "snapshot.json")
+# the three files that snapshot.json checks, in the order they are written and read
+_CHECKED_FILES = ("vocabulary.txt", "registry.txt", "triples.nt")
+_SNAPSHOT_FILES = _CHECKED_FILES + ("snapshot.json",)
+_REINGEST = "re-run 'qcorolla ingest'"
+
+
+class Snapshot(NamedTuple):
+    """The checked contents of a snapshot directory."""
+
+    d: int
+    edges: int
+    vocabulary: str
+    registry: str
+    triples: str
+
+
+class SnapshotTriple(NamedTuple):
+    """A triple as read from one line of a snapshot, with what its joint state needs."""
+
+    statement: Tuple[str, str, str]
+    weight: float
+    subject_index: int
+    object_index: int
+    d: int
+
+
+def _replace(path: Path, data: bytes) -> int:
+    """Write ``data`` to a ``.tmp`` sibling, rename it over ``path``; returns its CRC-32."""
+    temporary = path.with_name(path.name + ".tmp")
+    temporary.write_bytes(data)
+    os.replace(temporary, path)
+    return zlib.crc32(data)
 
 
 def save_snapshot(graph: CorollaGraph, directory: str | Path) -> None:
     """Write the canonical on-disk form of a graph to a directory.
 
     Files: vocabulary (basis order), registry (sorted by forward name),
-    triples (sorted lexicographically), and a version tag. Saving the
-    result of ``load_snapshot`` is byte-identical.
+    triples (sorted lexicographically, so line K is triple ``tK`` once
+    loaded), then ``snapshot.json`` with the format version, d, the edge
+    count and the CRC-32 of each other file. Each file replaces its old
+    version by a rename, ``snapshot.json`` last, so a save cut short leaves
+    files that fail their check. Saving the result of ``load_snapshot`` is
+    byte-identical.
     """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    save_vocabulary(graph.node_vocabulary, root / "vocabulary.txt")
-    save_registry(graph.registry, root / "registry.txt")
-    statements = sorted(graph.triples().values())
-    document = TripleDocument(tuple(Statement(*t, line=i + 1) for i, t in enumerate(statements)))
-    (root / "triples.nt").write_text(document.serialize(), encoding="utf-8")
-    meta = {"format_version": SNAPSHOT_FORMAT_VERSION}
-    (root / "snapshot.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
+
+    def texts():  # one file's text at a time, in _CHECKED_FILES order
+        yield graph.node_vocabulary.serialize()
+        yield graph.registry.serialize()
+        yield "".join(f"{s} {p} {o} .\n" for s, p, o in sorted(graph.triples().values()))
+
+    crc32 = {name: _replace(root / name, text.encode("utf-8")) for name, text in zip(_CHECKED_FILES, texts())}
+    meta = {
+        "crc32": crc32,
+        "d": graph.node_vocabulary.d,
+        "edges": graph.edge_count,
+        "format_version": SNAPSHOT_FORMAT_VERSION,
+    }
+    _replace(root / "snapshot.json", f"{json.dumps(meta, sort_keys=True)}\n".encode("utf-8"))
 
 
-def load_snapshot(directory: str | Path) -> CorollaGraph:
-    """Rebuild a graph from a snapshot directory."""
+def _line_count(text: str) -> int:
+    """Lines of a text whose every line ends with LF, or -1 if the last does not."""
+    return text.count("\n") if text.endswith("\n") or not text else -1
+
+
+def open_snapshot(directory: str | Path) -> Snapshot:
+    """Read a snapshot directory's files once and check them.
+
+    ``snapshot.json`` must hold this format version, and each other file
+    its recorded CRC-32 and line count; any other version, a missing file,
+    or a torn or partial save raises.
+    """
     root = Path(directory)
     for name in _SNAPSHOT_FILES:
         if not (root / name).exists():
             raise FileNotFoundError(f"snapshot file missing: {root / name}")
-    meta = json.loads((root / "snapshot.json").read_text(encoding="utf-8"))
-    version = meta.get("format_version")
+    try:
+        meta = json.loads((root / "snapshot.json").read_bytes())
+    except ValueError:
+        meta = None
+    version = meta.get("format_version") if isinstance(meta, dict) else None
     if version != SNAPSHOT_FORMAT_VERSION:
-        raise ValueError(f"unsupported snapshot format version: {version!r}")
-    result = ingest(root / "vocabulary.txt", root / "registry.txt", root / "triples.nt")
-    return result.graph
+        raise SnapshotError(
+            f"unsupported snapshot format version {version!r} (this qcorolla reads "
+            f"{SNAPSHOT_FORMAT_VERSION}); {_REINGEST}"
+        )
+    crc32, d, edges = meta.get("crc32"), meta.get("d"), meta.get("edges")
+    if not (isinstance(crc32, dict) and type(d) is int and type(edges) is int):
+        raise SnapshotError(f"{root / 'snapshot.json'} lacks crc32, d or edges; {_REINGEST}")
+    texts = []
+    for name in _CHECKED_FILES:
+        data = (root / name).read_bytes()
+        if zlib.crc32(data) != crc32.get(name):
+            raise SnapshotError(f"{root / name} fails its CRC-32 check (torn or partial save); {_REINGEST}")
+        texts.append(data.decode("utf-8"))
+        del data  # hold at most one file's bytes
+    vocabulary, registry, triples = texts
+    if _line_count(vocabulary) != d or _line_count(triples) != edges:
+        raise SnapshotError(f"{root} does not hold d = {d} symbols and {edges} edges; {_REINGEST}")
+    return Snapshot(d, edges, vocabulary, registry, triples)
+
+
+def _vocabulary(text: str) -> Vocabulary:
+    """The vocabulary of a checked snapshot: one namespaced symbol per line."""
+    entries = text.split("\n")
+    entries.pop()  # the empty string after the last LF
+    if not all(map(TOKEN_PATTERN.fullmatch, entries)):
+        k = next(k for k, entry in enumerate(entries) if not TOKEN_PATTERN.fullmatch(entry))
+        raise MalformedTokenError(f"vocabulary entry {entries[k]!r} is not a namespaced symbol", k + 1, 1)
+    return Vocabulary(tuple(entries))
+
+
+def load_snapshot(directory: str | Path) -> CorollaGraph:
+    """Rebuild a graph from a snapshot directory, equal to re-ingesting its triples."""
+    d, edges, vocabulary, registry, triples = open_snapshot(directory)
+    lines = triples.split("\n")
+    del triples  # hold the text or its lines, not both
+    lines.pop()
+    return CorollaGraph.from_canonical_lines(_vocabulary(vocabulary), parse_registry(registry), lines)
+
+
+def _line_number(triple_id: str, edges: int) -> int:
+    """K of a triple id ``tK``; only the exact form of 1 <= K <= edges is one."""
+    try:
+        k = int(triple_id[1:])
+    except ValueError:
+        k = 0
+    if not 1 <= k <= edges or triple_id != f"t{k}":
+        raise UnknownTripleError(f"no triple {triple_id!r}")
+    return k
+
+
+def _basis_index(vocabulary: str, symbol: str) -> int:
+    """A symbol's line, counted from 0, in a checked snapshot's vocabulary text."""
+    if vocabulary.startswith(f"{symbol}\n"):
+        return 0
+    at = vocabulary.find(f"\n{symbol}\n")
+    if at < 0:
+        raise UnknownNodeSymbolError(f"node symbol {symbol!r} not in vocabulary")
+    return vocabulary.count("\n", 0, at + 1)
+
+
+def read_triple(directory: str | Path, triple_id: str) -> SnapshotTriple:
+    """Triple ``tK`` of a snapshot from line K of its triples file, with its
+    weight and basis indices, building no graph and no vocabulary."""
+    snapshot = open_snapshot(directory)
+    k = _line_number(triple_id, snapshot.edges)
+    line = snapshot.triples.split("\n", k)[k - 1]
+    s, p, o, _ = line.split(" ")
+    return SnapshotTriple(
+        (s, p, o),
+        parse_registry(snapshot.registry).total_weight(p),
+        _basis_index(snapshot.vocabulary, s),
+        _basis_index(snapshot.vocabulary, o),
+        snapshot.d,
+    )

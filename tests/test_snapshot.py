@@ -1,0 +1,387 @@
+"""Snapshot format 2: checked files, one bulk load, one-line triple reads, atomic saves."""
+
+import gc
+import json
+import os
+import zlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import build_kinship_graph, build_random_graph
+
+from qcorolla.cli import cli_dispatch
+from qcorolla.corolla import ConverseRegistry, CorollaGraph, load_registry
+from qcorolla.entangle import synthesize_joint_state, triple_joint_state
+from qcorolla.errors import (
+    AlreadyPairedError,
+    MalformedTokenError,
+    SnapshotError,
+    UnknownNodeSymbolError,
+    UnknownPredicateError,
+)
+from qcorolla.qusym import Vocabulary, load_vocabulary, vocabulary_from_symbols
+from qcorolla.store import (
+    export_jsonl,
+    ingest,
+    ingest_document,
+    load_snapshot,
+    load_triples,
+    open_snapshot,
+    read_triple,
+    save_snapshot,
+)
+
+INDEXES = ("_owned", "_half_edges", "_edge_of", "_triples", "_triple_keys")
+
+
+def reingested(directory):
+    """What ``ingest_document`` builds from a snapshot's own files."""
+    return ingest_document(
+        load_vocabulary(directory / "vocabulary.txt"),
+        load_registry(directory / "registry.txt"),
+        load_triples(directory / "triples.nt"),
+    ).graph
+
+
+def assert_same_indexes(loaded, expected):
+    for name in INDEXES:  # lists of items, so dict insertion order counts
+        assert list(getattr(loaded, name).items()) == list(getattr(expected, name).items()), name
+    assert loaded.nodes() == expected.nodes()
+    assert loaded.node_vocabulary == expected.node_vocabulary
+    assert list(loaded.registry.pairs()) == list(expected.registry.pairs())
+
+
+# --- bulk load ---------------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=80), st.integers(min_value=0, max_value=2**31))
+def test_bulk_load_equals_reingest_random_graphs(tmp_path_factory, n_triples, seed):
+    directory = tmp_path_factory.mktemp("snap")
+    save_snapshot(build_random_graph(n_triples, seed), directory)
+    assert_same_indexes(load_snapshot(directory), reingested(directory))
+
+
+def test_bulk_load_equals_reingest_kinship(kinship_paths, tmp_path):
+    save_snapshot(ingest(*kinship_paths).graph, tmp_path)
+    loaded = load_snapshot(tmp_path)
+    assert_same_indexes(loaded, reingested(tmp_path))
+    assert loaded.nodes() == ("person:Bob", "person:Mary", "person:Alice")
+
+
+def test_bulk_load_equals_reingest_large_graph(large_random_graph, tmp_path):
+    save_snapshot(large_random_graph, tmp_path)
+    loaded = load_snapshot(tmp_path)
+    assert_same_indexes(loaded, reingested(tmp_path))
+    assert loaded.validate().is_valid
+
+
+def test_triple_k_is_line_k(tmp_path):
+    save_snapshot(build_random_graph(300, seed=11), tmp_path)
+    lines = (tmp_path / "triples.nt").read_text(encoding="utf-8").splitlines()
+    graph = load_snapshot(tmp_path)
+    assert [f"{s} {p} {o} ." for s, p, o in (graph.triple(f"t{k}") for k in range(1, 301))] == lines
+
+
+def test_bulk_load_keeps_one_string_per_symbol_and_predicate(tmp_path):
+    save_snapshot(build_random_graph(200, seed=3), tmp_path)
+    graph = load_snapshot(tmp_path)
+    entries = {symbol: symbol for symbol in graph.node_vocabulary.entries}
+    names = {name: name for name, _, _ in graph.registry.pairs()}
+    for corolla in graph._half_edges.values():
+        assert corolla.node is entries[corolla.node]
+    for s, p, o in graph._triple_keys:
+        assert s is entries[s] and o is entries[o] and p is names[p]
+
+
+# faults a crafted snapshot could hold under a matching CRC: (triples text, error, line, column)
+CANONICAL_FAULTS = {
+    "unknown predicate": ("person:Bob kin:Foo person:Alice .\n", UnknownPredicateError, 1, 12),
+    "backward predicate": ("person:Alice kin:ChildOf person:Bob .\n", MalformedTokenError, 1, 14),
+    "unknown subject": ("person:Zed kin:ParentOf person:Alice .\n", UnknownNodeSymbolError, 1, 1),
+    "unknown object": ("person:Bob kin:ParentOf person:Zed .\n", UnknownNodeSymbolError, 1, 25),
+    "two spaces": ("person:Bob  kin:ParentOf person:Alice .\n", MalformedTokenError, 1, 1),
+    "no dot": ("person:Bob kin:ParentOf person:Alice !\n", MalformedTokenError, 1, 1),
+    "second line": (
+        "person:Bob kin:HusbandOf person:Mary .\nperson:Bob kin:ParentOf person:Eve .\n",
+        UnknownNodeSymbolError,
+        2,
+        25,
+    ),
+}
+
+
+def rewrite_with_crc(directory, name, text):
+    """Replace one snapshot file and record its CRC, as a crafted store would."""
+    data = text.encode("utf-8")
+    (directory / name).write_bytes(data)
+    meta = json.loads((directory / "snapshot.json").read_text(encoding="utf-8"))
+    meta["crc32"][name] = zlib.crc32(data)
+    if name == "triples.nt":
+        meta["edges"] = text.count("\n")
+    (directory / "snapshot.json").write_text(json.dumps(meta) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(CANONICAL_FAULTS))
+def test_bulk_load_rejects_a_bad_line_at_its_position(tmp_path, case):
+    text, error, line, column = CANONICAL_FAULTS[case]
+    save_snapshot(build_kinship_graph(), tmp_path)
+    rewrite_with_crc(tmp_path, "triples.nt", text)
+    with pytest.raises(error) as excinfo:
+        load_snapshot(tmp_path)
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
+    assert gc.isenabled()
+
+
+def test_bulk_load_rejects_a_repeated_line(tmp_path):
+    save_snapshot(build_kinship_graph(), tmp_path)
+    rewrite_with_crc(tmp_path, "triples.nt", "person:Bob kin:ParentOf person:Alice .\n" * 2)
+    with pytest.raises(AlreadyPairedError):
+        load_snapshot(tmp_path)
+
+
+def test_bulk_load_rejects_a_vocabulary_entry_that_is_not_a_token(tmp_path):
+    save_snapshot(build_kinship_graph(), tmp_path)
+    rewrite_with_crc(tmp_path, "vocabulary.txt", "person:Bob\nAlice\nperson:Mary\n")
+    with pytest.raises(MalformedTokenError) as excinfo:
+        load_snapshot(tmp_path)
+    assert excinfo.value.line == 2
+
+
+# --- the format-2 files -----------------------------------------------------------------
+
+def test_snapshot_json_records_d_edges_and_crc32(tmp_path):
+    graph = build_random_graph(40, seed=5)
+    save_snapshot(graph, tmp_path)
+    meta = json.loads((tmp_path / "snapshot.json").read_text(encoding="utf-8"))
+    assert meta == {
+        "crc32": {
+            name: zlib.crc32((tmp_path / name).read_bytes())
+            for name in ("registry.txt", "triples.nt", "vocabulary.txt")
+        },
+        "d": 100,
+        "edges": 40,
+        "format_version": 2,
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "registry.txt", "snapshot.json", "triples.nt", "vocabulary.txt"
+    ]  # no temporary file is left behind
+    snapshot = open_snapshot(tmp_path)
+    assert (snapshot.d, snapshot.edges) == (100, 40)
+
+
+def test_empty_graph_round_trips(tmp_path):
+    graph = CorollaGraph(vocabulary_from_symbols(["n:X"]), ConverseRegistry())
+    save_snapshot(graph, tmp_path)
+    loaded = load_snapshot(tmp_path)
+    assert (loaded.edge_count, loaded.nodes()) == (0, ())
+
+
+def test_read_triple_matches_synthesis_on_the_loaded_graph(tmp_path):
+    save_snapshot(build_random_graph(120, seed=9), tmp_path)
+    graph = load_snapshot(tmp_path)
+    voc = graph.node_vocabulary
+    for tid in graph.triple_ids():
+        triple = read_triple(tmp_path, tid)
+        s, p, o = graph.triple(tid)
+        assert triple.statement == (s, p, o)
+        assert (triple.subject_index, triple.object_index, triple.d) == (voc.index(s), voc.index(o), voc.d)
+        assert triple.weight == graph.registry.total_weight(p)
+        joint = triple_joint_state(triple.d, triple.subject_index, triple.object_index, triple.weight)
+        assert joint == synthesize_joint_state(graph, tid)
+
+
+# --- the seven store command forms on a store that fails its check ----------------------
+
+def store_commands(directory, out):
+    st_ = str(directory)
+    return {
+        "validate": ["validate", "--store", st_],
+        "query": ["query", "person:Bob", "--store", st_],
+        "entangle": ["entangle", "t1", "--store", st_],
+        "measure": ["measure", "t1", "--store", st_],
+        "entropy --triple": ["entropy", "--triple", "t1", "--store", st_],
+        "entropy --node-vocab": ["entropy", "--node-vocab", "--store", st_],
+        "export": ["export", "--jsonl", str(out), "--store", st_],
+    }
+
+
+def assert_every_command_fails(directory, tmp_path, capsys, expect=""):
+    for name, argv in store_commands(directory, tmp_path / "out.jsonl").items():
+        code = cli_dispatch(argv)
+        out, err = capsys.readouterr()
+        assert code == 1, name
+        assert out == "", name
+        assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+        assert expect in err, (name, err)
+        assert "Traceback" not in err
+
+
+def kinship_store(kinship_paths, directory):
+    save_snapshot(ingest(*kinship_paths).graph, directory)
+    return directory
+
+
+def flip_one_byte(path):
+    data = bytearray(path.read_bytes())
+    data[5] ^= 0x20  # 'n' <-> 'N': same length, still UTF-8
+    path.write_bytes(bytes(data))
+
+
+CORRUPTIONS = {
+    "crc mismatch in triples": (lambda d: flip_one_byte(d / "triples.nt"), "CRC-32"),
+    "crc mismatch in vocabulary": (lambda d: flip_one_byte(d / "vocabulary.txt"), "CRC-32"),
+    "crc mismatch in registry": (lambda d: flip_one_byte(d / "registry.txt"), "CRC-32"),
+    "truncated triples": (
+        lambda d: (d / "triples.nt").write_bytes((d / "triples.nt").read_bytes()[:-10]),
+        "CRC-32",
+    ),
+    "missing triples": (lambda d: (d / "triples.nt").unlink(), "snapshot file missing"),
+    "missing snapshot.json": (lambda d: (d / "snapshot.json").unlink(), "snapshot file missing"),
+    "format version 1": (
+        lambda d: (d / "snapshot.json").write_text('{"format_version": 1}\n', encoding="utf-8"),
+        "unsupported snapshot format version 1 (this qcorolla reads 2); re-run 'qcorolla ingest'",
+    ),
+    "snapshot.json not JSON": (
+        lambda d: (d / "snapshot.json").write_text("{", encoding="utf-8"),
+        "re-run 'qcorolla ingest'",
+    ),
+    "snapshot.json without crc32": (
+        lambda d: (d / "snapshot.json").write_text('{"format_version": 2}\n', encoding="utf-8"),
+        "lacks crc32, d or edges",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_every_store_command_rejects_a_bad_store(kinship_paths, tmp_path, capsys, case):
+    corrupt, expect = CORRUPTIONS[case]
+    directory = kinship_store(kinship_paths, tmp_path / "store")
+    corrupt(directory)
+    assert_every_command_fails(directory, tmp_path, capsys, expect)
+
+
+def test_load_snapshot_raises_snapshot_error_for_format_1(kinship_paths, tmp_path):
+    directory = kinship_store(kinship_paths, tmp_path / "store")
+    (directory / "snapshot.json").write_text('{"format_version": 1}\n', encoding="utf-8")
+    with pytest.raises(SnapshotError, match="re-run 'qcorolla ingest'"):
+        load_snapshot(directory)
+
+
+def test_torn_save_is_rejected_and_a_completed_save_loads(kinship_paths, tmp_path, capsys, monkeypatch):
+    directory = kinship_store(kinship_paths, tmp_path / "store")
+    replacement = build_random_graph(30, seed=1)
+    real_replace = os.replace
+
+    def cut_after_triples(source, target):
+        real_replace(source, target)
+        if os.path.basename(target) == "triples.nt":
+            raise OSError("cut short")
+
+    monkeypatch.setattr(os, "replace", cut_after_triples)
+    with pytest.raises(OSError, match="cut short"):
+        save_snapshot(replacement, directory)
+    monkeypatch.setattr(os, "replace", real_replace)
+    assert_every_command_fails(directory, tmp_path, capsys, "CRC-32")
+
+    save_snapshot(replacement, directory)
+    assert_same_indexes(load_snapshot(directory), reingested(directory))
+    assert cli_dispatch(["validate", "--store", str(directory)]) == 0
+    assert capsys.readouterr().out == f"graph valid: {replacement.node_count} nodes, 30 edges\n"
+
+
+# --- triple ids are read by line number -------------------------------------------------
+
+# each id with the one line it prints; the kinship store has 2 edges, so t3 is one past the last
+BAD_TRIPLE_IDS = {
+    "t0": "error: no triple 't0'\n",
+    "t01": "error: no triple 't01'\n",
+    "t+1": "error: no triple 't+1'\n",
+    "t1_0": "error: no triple 't1_0'\n",
+    "t 1": "error: no triple 't 1'\n",
+    "T1": "error: no triple 'T1'\n",
+    "t": "error: no triple 't'\n",
+    "t\u0661": "error: no triple 't\u0661'\n",
+    "t3": "error: no triple 't3'\n",
+    "t-1": "error: no triple 't-1'\n",
+    "1": "error: no triple '1'\n",
+}
+
+
+@pytest.mark.parametrize("triple_id", sorted(BAD_TRIPLE_IDS))
+@pytest.mark.parametrize("command", ["entangle", "measure", "entropy"])
+def test_bad_triple_id_prints_no_triple(kinship_paths, tmp_path, capsys, command, triple_id):
+    directory = kinship_store(kinship_paths, tmp_path / "store")
+    argv = [command, "--triple", triple_id] if command == "entropy" else [command, triple_id]
+    code = cli_dispatch(argv + ["--store", str(directory)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", BAD_TRIPLE_IDS[triple_id])
+
+
+def test_empty_triple_id_is_no_triple(kinship_paths, tmp_path, capsys):
+    directory = kinship_store(kinship_paths, tmp_path / "store")
+    for argv in (["entangle", ""], ["measure", ""], ["entropy", "--triple", ""]):
+        assert cli_dispatch(argv + ["--store", str(directory)]) == 1
+        assert capsys.readouterr() == ("", "error: no triple ''\n")
+
+
+def test_triple_commands_build_no_graph_and_no_vocabulary(kinship_paths, tmp_path, capsys, monkeypatch):
+    directory = kinship_store(kinship_paths, tmp_path / "store")
+    commands = {k: v for k, v in store_commands(directory, tmp_path / "x").items()
+                if k in ("entangle", "measure", "entropy --triple", "entropy --node-vocab")}
+    expected = {}
+    for name, argv in commands.items():
+        assert cli_dispatch(argv) == 0
+        expected[name] = capsys.readouterr().out
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("built a graph or a vocabulary")
+
+    monkeypatch.setattr(CorollaGraph, "__init__", refuse)
+    monkeypatch.setattr(Vocabulary, "__post_init__", refuse)
+    for name, argv in commands.items():
+        assert cli_dispatch(argv) == 0, name
+        assert capsys.readouterr().out == expected[name]
+
+
+# --- streamed export ------------------------------------------------------------------
+
+def export_oracle(graph):
+    records = []
+    for tid in graph.triple_ids():
+        s, p, o = graph.triple(tid)
+        weight = graph.registry.total_weight(p)
+        records.append({"s": s, "p": p, "o": o, "converse_p": graph.registry.converse_name(p),
+                        "total_weight": weight, "target_entropy": weight})
+    records.sort(key=lambda r: (r["s"], r["p"], r["o"]))
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+def assert_export_matches_oracle(graph, path):
+    assert export_jsonl(graph, path) == graph.edge_count
+    assert path.read_bytes() == export_oracle(graph).encode("utf-8")
+
+
+def test_export_matches_json_dumps_kinship(kinship_paths, tmp_path):
+    assert_export_matches_oracle(ingest(*kinship_paths).graph, tmp_path / "out.jsonl")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=80), st.integers(min_value=0, max_value=2**31))
+def test_export_matches_json_dumps_random_graphs(tmp_path_factory, n_triples, seed):
+    path = tmp_path_factory.mktemp("export") / "out.jsonl"
+    assert_export_matches_oracle(build_random_graph(n_triples, seed), path)
+
+
+def test_export_matches_json_dumps_with_escaped_symbols(tmp_path):
+    symbols = ['q:"quoted"', "b:back\\slash", "e:caf\u00e9", "z:\x7f"]
+    registry = ConverseRegistry()
+    registry.register_converse('r:"says"', "r:sa\\id", 0.3)
+    registry.register_converse("r:\u00e9t\u00e9", "r:\U0001f600", 1.0)
+    graph = CorollaGraph(vocabulary_from_symbols(symbols), registry)
+    for k, s in enumerate(symbols):
+        for p in ('r:"says"', "r:\u00e9t\u00e9"):
+            o = symbols[(k + 1) % len(symbols)]
+            graph.join(graph.make_corolla(s, p), graph.make_corolla(o, registry.converse_name(p)))
+    assert_export_matches_oracle(graph, tmp_path / "out.jsonl")
