@@ -18,7 +18,6 @@ concurrently between mutations.
 
 from __future__ import annotations
 
-import gc
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +28,6 @@ from .errors import (
     AlreadyRegisteredError,
     MalformedTokenError,
     NotConverseError,
-    QcorollaError,
     SelfConverseError,
     SelfJoinError,
     UnknownNodeError,
@@ -187,6 +185,7 @@ class CorollaGraph:
     and backward half-edge ids), ``_triple_keys`` ((s, p, o) -> triple id).
     Ids are consecutive and never freed, so the next one is the map's size
     + 1. The involution is derived from ``_edge_of`` and ``_triples``.
+    Only ``make_corolla`` (with ``add_node``) and ``join`` write the indexes.
     Mutations cost O(1); ``half_edges_of``, ``corollas_of`` and
     ``walk_half_edges`` O(degree).
 
@@ -201,59 +200,6 @@ class CorollaGraph:
         self._edge_of: Dict[int, str] = {}
         self._triples: Dict[str, Tuple[int, int]] = {}
         self._triple_keys: Dict[Triple, str] = {}
-
-    @classmethod
-    def from_canonical_lines(
-        cls, node_vocabulary: Vocabulary, registry: ConverseRegistry, lines: List[str]
-    ) -> "CorollaGraph":
-        """The graph that ingesting canonical triples lines builds, index for index.
-
-        Each line is ``s p o .`` with single spaces and a forward predicate,
-        no line repeats, and line K becomes triple ``tK`` with half-edges
-        2K - 1 (subject) and 2K (object), as ``join`` numbers them. The five
-        indexes are filled directly: each token costs one dict lookup, with
-        no token regex and no per-join converse or duplicate check. A symbol
-        or predicate that is not known raises with its line and column, and
-        a repeated line raises ``AlreadyPairedError``. The garbage collector
-        is paused while the indexes grow.
-        """
-        graph = cls(node_vocabulary, registry)
-        # each node keeps the vocabulary's own string and each key the registry's name
-        symbols = dict(zip(node_vocabulary.entries, node_vocabulary.entries))
-        forward = {f: (registry.directed(f), registry.directed(b)) for f, b, _ in registry.pairs()}
-        owned, half_edges, edge_of = graph._owned, graph._half_edges, graph._edge_of
-        triples, keys = graph._triples, graph._triple_keys
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            for k, line in enumerate(lines, start=1):
-                try:
-                    s, p, o, dot = line.split(" ")
-                    fwd, bwd = forward[p]
-                    s, o = symbols[s], symbols[o]
-                except (ValueError, KeyError):
-                    raise _line_fault(graph, line, k) from None
-                if dot != ".":
-                    raise _line_fault(graph, line, k)
-                tid = f"t{k}"
-                left = 2 * k - 1
-                half_edges[left] = Corolla(s, fwd, left)
-                half_edges[left + 1] = Corolla(o, bwd, left + 1)
-                edge_of[left] = edge_of[left + 1] = tid
-                triples[tid] = (left, left + 1)
-                keys[(s, fwd.name, o)] = tid
-                for node, h in ((s, left), (o, left + 1)):
-                    ids = owned.get(node)
-                    if ids is None:
-                        owned[node] = [h]
-                    else:
-                        ids.append(h)
-        finally:
-            if collecting:
-                gc.enable()
-        if len(keys) != len(triples):
-            raise AlreadyPairedError(f"{len(triples) - len(keys)} triple line(s) repeat an earlier one")
-        return graph
 
     # -- nodes ---------------------------------------------------------
 
@@ -281,9 +227,12 @@ class CorollaGraph:
         follows its direction.
         """
         predicate = self.registry.directed(predicate_name)
-        corolla = Corolla(self.add_node(node), predicate, len(self._half_edges) + 1)
-        self._half_edges[corolla.half_edge_id] = corolla
-        self._owned[node].append(corolla.half_edge_id)
+        owned = self._owned.get(node)
+        if owned is None:
+            owned = self._owned[self.add_node(node)]
+        half_edge_id = len(self._half_edges) + 1  # one int object for the Corolla and every index
+        corolla = self._half_edges[half_edge_id] = Corolla(node, predicate, half_edge_id)
+        owned.append(half_edge_id)
         return corolla
 
     def half_edges_of(self, node: str) -> Tuple[Corolla, ...]:
@@ -350,36 +299,33 @@ class CorollaGraph:
         subject. The involution is extended with I(left) = right and
         I(right) = left.
         """
-        for corolla in (left, right):
-            if self._half_edges.get(corolla.half_edge_id) is not corolla:
-                raise UnknownNodeError("corolla does not belong to this graph")
-        if left.half_edge_id == right.half_edge_id:
+        left_id, right_id = left.half_edge_id, right.half_edge_id
+        half_edges, edge_of = self._half_edges, self._edge_of
+        if half_edges.get(left_id) is not left or half_edges.get(right_id) is not right:
+            raise UnknownNodeError("corolla does not belong to this graph")
+        if left_id == right_id:
             raise SelfJoinError("cannot join a corolla with itself")
-        for corolla in (left, right):
-            if corolla.half_edge_id in self._edge_of:
-                raise AlreadyPairedError(f"half-edge {corolla.half_edge_id} already paired")
+        if left_id in edge_of or right_id in edge_of:
+            raise AlreadyPairedError(f"half-edge {left_id if left_id in edge_of else right_id} already paired")
 
         lp, rp = left.predicate, right.predicate
-        if lp.direction == BACKWARD and rp.direction == FORWARD \
-                and self.registry.converse_name(rp.name) == lp.name:
-            raise WrongOrientationError(
-                f"swapped sides: {rp.name!r} is the forward predicate and must come first"
-            )
         if lp.direction != FORWARD or rp.direction != BACKWARD \
                 or self.registry.converse_name(lp.name) != rp.name:
+            if lp.direction == BACKWARD and self.registry.converse_name(lp.name) == rp.name:
+                raise WrongOrientationError(
+                    f"swapped sides: {rp.name!r} is the forward predicate and must come first"
+                )
             raise NotConverseError(f"{lp.name!r} and {rp.name!r} are not a converse pair")
 
         key = (left.node, lp.name, right.node)
-        if key in self._triple_keys:
-            raise AlreadyPairedError(
-                f"triple {key} already present as {self._triple_keys[key]}"
-            )
+        triple_keys = self._triple_keys
+        if key in triple_keys:
+            raise AlreadyPairedError(f"triple {key} already present as {triple_keys[key]}")
 
         triple_id = f"t{len(self._triples) + 1}"
-        self._edge_of[left.half_edge_id] = triple_id
-        self._edge_of[right.half_edge_id] = triple_id
-        self._triples[triple_id] = (left.half_edge_id, right.half_edge_id)
-        self._triple_keys[key] = triple_id
+        edge_of[left_id] = edge_of[right_id] = triple_id
+        self._triples[triple_id] = (left_id, right_id)
+        triple_keys[key] = triple_id
         return triple_id
 
     # -- triples -----------------------------------------------------------
@@ -456,21 +402,6 @@ class CorollaGraph:
             if registered == 0.0:
                 report.inert_edges.append(triple_id)
         return report
-
-
-def _line_fault(graph: CorollaGraph, line: str, lineno: int) -> QcorollaError:
-    """The first fault of a triples line that ``from_canonical_lines`` rejected."""
-    tokens = line.split(" ")
-    if len(tokens) != 4 or tokens[3] != ".":
-        return MalformedTokenError(f"expected canonical 's p o .', got {line!r}", lineno, 1)
-    s, p, o, _ = tokens
-    p_column, o_column = len(s) + 2, len(s) + len(p) + 3
-    if p not in graph.registry:
-        return UnknownPredicateError(f"predicate {p!r} not registered", lineno, p_column)
-    if graph.registry.is_backward(p):
-        return MalformedTokenError(f"{p!r} is a backward predicate", lineno, p_column)
-    symbol, at = (s, 1) if s not in graph.node_vocabulary else (o, o_column)
-    return UnknownNodeSymbolError(f"node symbol {symbol!r} not in vocabulary", lineno, at)
 
 
 # -- registry file format ----------------------------------------------------

@@ -281,13 +281,16 @@ def tessellate_round(
     """Round a noisy (possibly unnormalized) vector onto the vocabulary basis.
 
     Returns the symbol whose basis state maximizes the fidelity |⟨i|ψ⟩|²
-    together with that fidelity; ties break to the lowest index.
+    together with that fidelity; ties break to the lowest index. A NaN or
+    infinite amplitude raises ``ValueError``.
     """
     import numpy as np
 
     amps = np.asarray(noisy, dtype=complex)
     if amps.ndim != 1 or amps.size != voc.d:
         raise DimensionMismatchError(f"vector length {amps.size} != vocabulary size {voc.d}")
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite numbers")
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise ZeroVectorError("cannot round the zero vector")

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .qusym import log_of_base
 
+# each tolerance check reads ``not |error| <= TOL``, which NaN fails
 NORM_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -59,7 +60,7 @@ class StateVector:
         if amps.ndim != 1 or amps.size < 1:
             raise EmptyVectorError("state vector needs at least one amplitude")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector not normalized: sum |a|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -83,10 +84,10 @@ class DensityMatrix:
         mat = _frozen_array(self.entries, complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise DimensionMismatchError(f"density matrix must be square, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian")
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TRACE_TOL:
+        if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValueError(f"density matrix trace is {trace!r}, expected 1")
         spectrum = np.linalg.eigvalsh(mat)
         if float(np.min(spectrum)) < -PSD_TOL:
@@ -117,13 +118,13 @@ class SchmidtDecomposition:
 
     def __post_init__(self):
         coeffs = _frozen_array(self.coefficients, float)
-        if np.any(coeffs < 0) or np.any(np.diff(coeffs) > 0):
+        if not (np.all(coeffs >= 0) and np.all(np.diff(coeffs) <= 0)):
             raise ValueError("Schmidt coefficients must be non-negative and non-increasing")
-        if abs(float(np.sum(coeffs**2)) - 1.0) > NORM_TOL:
+        if not abs(float(np.sum(coeffs**2)) - 1.0) <= NORM_TOL:
             raise ValueError("Schmidt coefficients must square-sum to 1")
         for basis in (self.left_basis, self.right_basis):
             mat = np.stack([s.amplitudes for s in basis])
-            if np.max(np.abs(mat @ mat.conj().T - np.eye(len(basis)))) > NORM_TOL:
+            if not np.max(np.abs(mat @ mat.conj().T - np.eye(len(basis)))) <= NORM_TOL:
                 raise ValueError("Schmidt bases must be orthonormal")
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -138,12 +139,14 @@ class SchmidtDecomposition:
 def make_state(amplitudes: Sequence[complex] | np.ndarray) -> StateVector:
     """Normalize an amplitude sequence into a unit state vector.
 
-    Raises ``EmptyVectorError`` on empty input and ``ZeroVectorError`` when
-    the input has zero norm.
+    Raises ``EmptyVectorError`` on empty input, ``ZeroVectorError`` when
+    the input has zero norm and ``ValueError`` on a NaN or infinite amplitude.
     """
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim != 1 or amps.size < 1:
         raise EmptyVectorError("need at least one amplitude")
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite numbers")
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise ZeroVectorError("cannot normalize the zero vector")
@@ -180,10 +183,10 @@ def mix(ensemble: Iterable[Tuple[float, StateVector]]) -> DensityMatrix:
     if not items:
         raise ProbabilityMismatchError("ensemble is empty")
     probs = np.array([p for p, _ in items], dtype=float)
-    if np.any(probs < 0):
-        raise ProbabilityMismatchError("negative probability in ensemble")
+    if not np.all(probs >= 0):
+        raise ProbabilityMismatchError("ensemble probabilities must be non-negative numbers")
     total = float(np.sum(probs))
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:
         raise ProbabilityMismatchError(f"probabilities sum to {total!r}, expected 1")
     dim = items[0][1].dim
     if any(state.dim != dim for _, state in items):

@@ -160,19 +160,19 @@ def qusym_ensemble(voc: Vocabulary, weights: Mapping[str, float]) -> DensityMatr
 
     probs = np.zeros(voc.d, dtype=float)
     for symbol, p in weights.items():
-        if p < 0:
-            raise ProbabilityMismatchError(f"negative weight for {symbol!r}")
+        if not p >= 0:  # NaN fails it
+            raise ProbabilityMismatchError(f"weight for {symbol!r} must be a non-negative number, got {p!r}")
         probs[voc.index(symbol)] = p
     total = float(np.sum(probs))
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:
         raise ProbabilityMismatchError(f"weights sum to {total!r}, expected 1")
     return DensityMatrix(np.diag(probs / total).astype(complex))
 
 
 def log_of_base(base: float) -> float:
-    """Natural logarithm of an entropy base; the base must exceed 1."""
-    if base <= 1.0:
-        raise ValueError(f"logarithm base must exceed 1, got {base!r}")
+    """Natural logarithm of an entropy base; the base must be a finite number above 1."""
+    if not 1.0 < base < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"logarithm base must be a finite number above 1, got {base!r}")
     return math.log(base)
 
 

@@ -22,6 +22,7 @@ byte-identical. Triple ``tK`` is line K of the triples file.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import zlib
@@ -38,9 +39,11 @@ from .corolla import (
     parse_registry,
 )
 from .errors import (
+    AlreadyPairedError,
     BackwardPredicateInSubjectPositionError,
     MalformedTokenError,
     MissingTerminatorError,
+    QcorollaError,
     SnapshotError,
     UnknownNodeSymbolError,
     UnknownPredicateError,
@@ -153,6 +156,21 @@ class IngestResult:
     folded: int
 
 
+class _CollectorPaused:
+    """Pauses the cyclic GC while a graph grows: its objects hold no cycles to free.
+    Not a ``contextlib.contextmanager``, whose exit allocates once the GC is back on and
+    so runs the collection then owed inside the build: at 10^5 edges that made
+    ``load_snapshot`` take 1.31 s instead of 1.18 s (8 alternating in-process runs)."""
+
+    def __enter__(self):
+        self.collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, exc_type, exc, traceback):
+        if self.collecting:
+            gc.enable()
+
+
 def _column(statement: Statement, index: int) -> int | None:
     return statement.columns[index] if statement.columns else None
 
@@ -171,32 +189,31 @@ def ingest_document(
     graph = CorollaGraph(vocabulary, registry)
     duplicates = 0
     folded = 0
-    for statement in document.statements:
-        s, p, o = statement.triple
-        if p not in registry:
-            raise UnknownPredicateError(
-                f"predicate {p!r} not registered", statement.line, _column(statement, 1)
-            )
-        if registry.is_backward(p):
-            forward_key = converse_statement(registry, (s, p, o))
-            if graph.triple_id_of(forward_key) is not None:
-                folded += 1
+    with _CollectorPaused():
+        for statement in document.statements:
+            s, p, o = statement.triple
+            if p not in registry:
+                raise UnknownPredicateError(
+                    f"predicate {p!r} not registered", statement.line, _column(statement, 1)
+                )
+            if registry.is_backward(p):
+                forward_key = converse_statement(registry, (s, p, o))
+                if graph.triple_id_of(forward_key) is not None:
+                    folded += 1
+                    continue
+                raise BackwardPredicateInSubjectPositionError(
+                    f"{p!r} is a backward predicate and no edge {forward_key} exists to fold onto",
+                    statement.line,
+                    _column(statement, 1),
+                )
+            if graph.triple_id_of((s, p, o)) is not None:
+                duplicates += 1
                 continue
-            raise BackwardPredicateInSubjectPositionError(
-                f"{p!r} is a backward predicate and no edge {forward_key} exists to fold onto",
-                statement.line,
-                _column(statement, 1),
-            )
-        if graph.triple_id_of((s, p, o)) is not None:
-            duplicates += 1
-            continue
-        try:
-            left = graph.make_corolla(s, p)
-            right = graph.make_corolla(o, registry.converse_name(p))
-        except UnknownNodeSymbolError as exc:
-            at = _column(statement, 0 if s not in vocabulary else 2)
-            raise UnknownNodeSymbolError(str(exc), statement.line, at) from None
-        graph.join(left, right)
+            try:
+                graph.join(graph.make_corolla(s, p), graph.make_corolla(o, registry.converse_name(p)))
+            except UnknownNodeSymbolError as exc:
+                at = _column(statement, 0 if s not in vocabulary else 2)
+                raise UnknownNodeSymbolError(str(exc), statement.line, at) from None
     return IngestResult(
         graph=graph,
         statements=len(document.statements),
@@ -352,14 +369,18 @@ def save_snapshot(graph: CorollaGraph, directory: str | Path) -> None:
     count and the CRC-32 of each other file. Each file replaces its old
     version by a rename, ``snapshot.json`` last, so a save cut short leaves
     files that fail their check. Saving the result of ``load_snapshot`` is
-    byte-identical.
+    byte-identical. A name ``load_snapshot`` would refuse, not a namespaced
+    token, raises ``MalformedTokenError`` before any file is replaced.
     """
+    vocabulary, registry = graph.node_vocabulary.serialize(), graph.registry.serialize()
+    _symbols(vocabulary)
+    parse_registry(registry)
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
 
-    def texts():  # one file's text at a time, in _CHECKED_FILES order
-        yield graph.node_vocabulary.serialize()
-        yield graph.registry.serialize()
+    def texts():  # in _CHECKED_FILES order, the triples text built only when its turn comes
+        yield vocabulary
+        yield registry
         yield "".join(f"{s} {p} {o} .\n" for s, p, o in sorted(graph.triples().values()))
 
     crc32 = {name: _replace(root / name, text.encode("utf-8")) for name, text in zip(_CHECKED_FILES, texts())}
@@ -373,8 +394,8 @@ def save_snapshot(graph: CorollaGraph, directory: str | Path) -> None:
 
 
 def _line_count(text: str) -> int:
-    """Lines of a text whose every line ends with LF, or -1 if the last does not."""
-    return text.count("\n") if text.endswith("\n") or not text else -1
+    """Lines of a text whose every line ends with LF, or None if the last does not."""
+    return text.count("\n") if text.endswith("\n") or not text else None
 
 
 def open_snapshot(directory: str | Path) -> Snapshot:
@@ -414,23 +435,61 @@ def open_snapshot(directory: str | Path) -> Snapshot:
     return Snapshot(d, edges, vocabulary, registry, triples)
 
 
-def _vocabulary(text: str) -> Vocabulary:
-    """The vocabulary of a checked snapshot: one namespaced symbol per line."""
+def _symbols(text: str) -> List[str]:
+    """The entries of a snapshot's vocabulary text, one per line; each must be a namespaced symbol."""
     entries = text.split("\n")
     entries.pop()  # the empty string after the last LF
     if not all(map(TOKEN_PATTERN.fullmatch, entries)):
         k = next(k for k, entry in enumerate(entries) if not TOKEN_PATTERN.fullmatch(entry))
         raise MalformedTokenError(f"vocabulary entry {entries[k]!r} is not a namespaced symbol", k + 1, 1)
-    return Vocabulary(tuple(entries))
+    return entries
 
 
 def load_snapshot(directory: str | Path) -> CorollaGraph:
-    """Rebuild a graph from a snapshot directory, equal to re-ingesting its triples."""
-    d, edges, vocabulary, registry, triples = open_snapshot(directory)
+    """Rebuild a graph from a snapshot directory, equal to re-ingesting its triples:
+    each checked line ``s p o .`` (line K is ``tK``) joins its corollas through
+    ``make_corolla`` and ``join`` with the vocabulary's and registry's own strings.
+    A bad or repeated line raises with its line and column."""
+    _, _, vocabulary, registry, triples = open_snapshot(directory)
+    entries = _symbols(vocabulary)
+    graph = CorollaGraph(Vocabulary(tuple(entries)), parse_registry(registry))
+    symbols = dict(zip(entries, entries))
+    forward = {name: (name, converse) for name, converse, _ in graph.registry.pairs()}
+    make_corolla, join = graph.make_corolla, graph.join
     lines = triples.split("\n")
     del triples  # hold the text or its lines, not both
     lines.pop()
-    return CorollaGraph.from_canonical_lines(_vocabulary(vocabulary), parse_registry(registry), lines)
+    with _CollectorPaused():
+        for line in lines:
+            try:
+                s, p, o, dot = line.split(" ")
+                p, converse = forward[p]
+                s, o = symbols[s], symbols[o]
+            except (ValueError, KeyError):
+                raise _line_fault(graph, line) from None
+            if dot != ".":
+                raise _line_fault(graph, line)
+            try:
+                join(make_corolla(s, p), make_corolla(o, converse))
+            except AlreadyPairedError as exc:
+                raise AlreadyPairedError(str(exc), graph.edge_count + 1, 1) from None
+    return graph
+
+
+def _line_fault(graph: CorollaGraph, line: str) -> QcorollaError:
+    """The first fault of the triples line ``load_snapshot`` rejected; each earlier line added one edge."""
+    lineno = graph.edge_count + 1
+    tokens = line.split(" ")
+    if len(tokens) != 4 or tokens[3] != ".":
+        return MalformedTokenError(f"expected canonical 's p o .', got {line!r}", lineno, 1)
+    s, p, o, _ = tokens
+    p_column, o_column = len(s) + 2, len(s) + len(p) + 3
+    if p not in graph.registry:
+        return UnknownPredicateError(f"predicate {p!r} not registered", lineno, p_column)
+    if graph.registry.is_backward(p):
+        return MalformedTokenError(f"{p!r} is a backward predicate", lineno, p_column)
+    symbol, at = (s, 1) if s not in graph.node_vocabulary else (o, o_column)
+    return UnknownNodeSymbolError(f"node symbol {symbol!r} not in vocabulary", lineno, at)
 
 
 def _line_number(triple_id: str, edges: int) -> int:

@@ -326,3 +326,28 @@ def test_command_runs_without_numpy(store_dir, kinship_paths, tmp_path, command)
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stderr.splitlines()[-1] == "numpy not loaded"
+
+
+NON_FINITE = {
+    "node-vocab base nan": ["entropy", "--node-vocab", "--base", "nan"],
+    "node-vocab base inf": ["entropy", "--node-vocab", "--base", "inf"],
+    "node-vocab base 1e400": ["entropy", "--node-vocab", "--base", "1e400"],
+    "triple base nan": ["entropy", "--triple", "t1", "--base", "nan"],
+    "triple base inf": ["entropy", "--triple", "t1", "--base", "inf"],
+    "triple base 1e400": ["entropy", "--triple", "t1", "--base", "1e400"],
+    "round nan": ["round", "--vector=nan,0,0"],
+    "round inf": ["round", "--vector=0,inf,0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_numbers_exit_1_without_a_warning(store_dir, kinship_paths, case):
+    argv = NON_FINITE[case]
+    argv = argv + (["--vocab", str(kinship_paths[0])] if argv[0] == "round" else ["--store", str(store_dir)])
+    src = str(Path(qcorolla.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "qcorolla.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    assert "Warning" not in done.stderr and "Traceback" not in done.stderr

@@ -396,6 +396,12 @@ def test_round_tie_breaks_to_lowest_index():
     assert fid == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
+def test_round_rejects_a_non_finite_amplitude(bad):
+    with pytest.raises(ValueError, match="finite"):
+        tessellate_round([bad, 0, 0], VOC3)
+
+
 def test_round_is_idempotent():
     rng = np.random.default_rng(53)
     for _ in range(100):

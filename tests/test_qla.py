@@ -28,7 +28,7 @@ from qcorolla.qla import (
     tensor,
     von_neumann_entropy,
 )
-from qcorolla.qusym import uniform_entropy
+from qcorolla.qusym import qusym_ensemble, uniform_entropy, vocabulary_from_symbols
 
 BELL = make_state([1, 0, 0, 1])
 ASYMMETRIC = make_state([0.6, 0, 0, 0.8])  # sqrt(0.36)|00> + sqrt(0.64)|11>
@@ -316,3 +316,34 @@ def test_states_equal_quotients_global_phase():
 def test_fidelity_phase_invariant(theta):
     s = make_state([1, 1j, -1])
     assert fidelity(s, StateVector(np.exp(1j * theta) * s.amplitudes)) == pytest.approx(1.0)
+
+
+# --- non-finite input ------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StateVector([NAN, 0]),
+        lambda: make_state([NAN, 1]),
+        lambda: make_state([math.inf, 1]),
+        lambda: DensityMatrix([[NAN, 0], [0, 1]]),
+        lambda: DensityMatrix([[1, 0], [0, NAN]]),
+        lambda: mix([(NAN, basis_state(2, 0)), (1.0, basis_state(2, 1))]),
+        lambda: qusym_ensemble(vocabulary_from_symbols(["a:A", "a:B"]), {"a:A": NAN, "a:B": 1.0}),
+    ],
+    ids=["state vector", "make_state nan", "make_state inf", "density off-trace", "density trace", "mix", "ensemble"],
+)
+def test_nan_fails_the_norm_trace_and_hermitian_checks(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("base", [NAN, math.inf, float("1e400"), -math.inf, 1.0], ids=["nan", "inf", "1e400", "-inf", "1"])
+def test_entropy_base_must_be_finite_and_above_one(base):
+    with pytest.raises(ValueError, match="finite number above 1"):
+        von_neumann_entropy(outer(BELL), base=base)
+    with pytest.raises(ValueError, match="finite number above 1"):
+        uniform_entropy(4, base=base)
