@@ -29,7 +29,6 @@ from .errors import (
     DimensionMismatchError,
     UnknownPatternError,
     WeightOutOfRangeError,
-    ZeroVectorError,
 )
 from .qusym import Vocabulary, log_of_base
 
@@ -281,20 +280,17 @@ def tessellate_round(
     """Round a noisy (possibly unnormalized) vector onto the vocabulary basis.
 
     Returns the symbol whose basis state maximizes the fidelity |⟨i|ψ⟩|²
-    together with that fidelity; ties break to the lowest index. A NaN or
-    infinite amplitude raises ``ValueError``.
+    together with that fidelity; ties break to the lowest index. ``qla.make_state``
+    normalizes the vector and rejects a zero vector or a NaN or infinite amplitude.
     """
     import numpy as np
+
+    from .qla import make_state
 
     amps = np.asarray(noisy, dtype=complex)
     if amps.ndim != 1 or amps.size != voc.d:
         raise DimensionMismatchError(f"vector length {amps.size} != vocabulary size {voc.d}")
-    if not np.isfinite(amps).all():
-        raise ValueError("amplitudes must be finite numbers")
-    norm = float(np.linalg.norm(amps))
-    if norm == 0.0:
-        raise ZeroVectorError("cannot round the zero vector")
-    overlaps = np.abs(amps / norm) ** 2
+    overlaps = make_state(amps).probabilities()
     index = int(np.argmax(overlaps))  # argmax returns the first maximum
     return voc.symbol(index), float(overlaps[index])
 

@@ -141,16 +141,18 @@ def make_state(amplitudes: Sequence[complex] | np.ndarray) -> StateVector:
 
     Raises ``EmptyVectorError`` on empty input, ``ZeroVectorError`` when
     the input has zero norm and ``ValueError`` on a NaN or infinite amplitude.
+    Scaling by the largest real or imaginary part first keeps every finite norm finite and nonzero.
     """
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim != 1 or amps.size < 1:
         raise EmptyVectorError("need at least one amplitude")
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite numbers")
-    norm = float(np.linalg.norm(amps))
-    if norm == 0.0:
+    scale = max(float(np.max(np.abs(amps.real))), float(np.max(np.abs(amps.imag))))
+    if scale == 0.0:
         raise ZeroVectorError("cannot normalize the zero vector")
-    return StateVector(amps / norm)
+    amps = amps / scale
+    return StateVector(amps / np.linalg.norm(amps))
 
 
 def basis_state(dim: int, index: int) -> StateVector:

@@ -29,7 +29,7 @@ import zlib
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as quote  # how json.dumps quotes a str
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Container, Dict, List, NamedTuple, Tuple
 
 from .corolla import (
     ConverseRegistry,
@@ -41,6 +41,7 @@ from .corolla import (
 from .errors import (
     AlreadyPairedError,
     BackwardPredicateInSubjectPositionError,
+    DuplicateSymbolError,
     MalformedTokenError,
     MissingTerminatorError,
     QcorollaError,
@@ -449,10 +450,15 @@ def load_snapshot(directory: str | Path) -> CorollaGraph:
     """Rebuild a graph from a snapshot directory, equal to re-ingesting its triples:
     each checked line ``s p o .`` (line K is ``tK``) joins its corollas through
     ``make_corolla`` and ``join`` with the vocabulary's and registry's own strings.
-    A bad or repeated line raises with its line and column."""
+    A bad or repeated line, or a repeated vocabulary entry, raises with its line and column."""
     _, _, vocabulary, registry, triples = open_snapshot(directory)
     entries = _symbols(vocabulary)
-    graph = CorollaGraph(Vocabulary(tuple(entries)), parse_registry(registry))
+    try:
+        graph = CorollaGraph(Vocabulary(tuple(entries)), parse_registry(registry))
+    except DuplicateSymbolError as exc:
+        first = {}  # the line of each entry's first occurrence
+        k = next(k for k, entry in enumerate(entries, 1) if first.setdefault(entry, k) != k)
+        raise DuplicateSymbolError(str(exc), k, 1) from None
     symbols = dict(zip(entries, entries))
     forward = {name: (name, converse) for name, converse, _ in graph.registry.pairs()}
     make_corolla, join = graph.make_corolla, graph.join
@@ -466,9 +472,9 @@ def load_snapshot(directory: str | Path) -> CorollaGraph:
                 p, converse = forward[p]
                 s, o = symbols[s], symbols[o]
             except (ValueError, KeyError):
-                raise _line_fault(graph, line) from None
+                raise _line_fault(line, graph.edge_count + 1, graph.registry, symbols) from None
             if dot != ".":
-                raise _line_fault(graph, line)
+                raise _line_fault(line, graph.edge_count + 1, graph.registry, symbols)
             try:
                 join(make_corolla(s, p), make_corolla(o, converse))
             except AlreadyPairedError as exc:
@@ -476,19 +482,19 @@ def load_snapshot(directory: str | Path) -> CorollaGraph:
     return graph
 
 
-def _line_fault(graph: CorollaGraph, line: str) -> QcorollaError:
-    """The first fault of the triples line ``load_snapshot`` rejected; each earlier line added one edge."""
-    lineno = graph.edge_count + 1
+def _line_fault(line: str, lineno: int, registry: ConverseRegistry, symbols: Container[str]) -> QcorollaError:
+    """The first fault of a snapshot triples line that fails a check: not ``s p o .`` with single
+    spaces, a predicate that is not a registered forward name, or a symbol not in ``symbols``."""
     tokens = line.split(" ")
     if len(tokens) != 4 or tokens[3] != ".":
         return MalformedTokenError(f"expected canonical 's p o .', got {line!r}", lineno, 1)
     s, p, o, _ = tokens
     p_column, o_column = len(s) + 2, len(s) + len(p) + 3
-    if p not in graph.registry:
+    if p not in registry:
         return UnknownPredicateError(f"predicate {p!r} not registered", lineno, p_column)
-    if graph.registry.is_backward(p):
+    if registry.is_backward(p):
         return MalformedTokenError(f"{p!r} is a backward predicate", lineno, p_column)
-    symbol, at = (s, 1) if s not in graph.node_vocabulary else (o, o_column)
+    symbol, at = (s, 1) if s not in symbols else (o, o_column)
     return UnknownNodeSymbolError(f"node symbol {symbol!r} not in vocabulary", lineno, at)
 
 
@@ -503,27 +509,20 @@ def _line_number(triple_id: str, edges: int) -> int:
     return k
 
 
-def _basis_index(vocabulary: str, symbol: str) -> int:
-    """A symbol's line, counted from 0, in a checked snapshot's vocabulary text."""
-    if vocabulary.startswith(f"{symbol}\n"):
-        return 0
-    at = vocabulary.find(f"\n{symbol}\n")
-    if at < 0:
-        raise UnknownNodeSymbolError(f"node symbol {symbol!r} not in vocabulary")
-    return vocabulary.count("\n", 0, at + 1)
-
-
 def read_triple(directory: str | Path, triple_id: str) -> SnapshotTriple:
     """Triple ``tK`` of a snapshot from line K of its triples file, with its
-    weight and basis indices, building no graph and no vocabulary."""
+    weight and basis indices, building no graph and no vocabulary. Only line K
+    is checked, as ``load_snapshot`` checks it and with the same diagnosis."""
     snapshot = open_snapshot(directory)
     k = _line_number(triple_id, snapshot.edges)
     line = snapshot.triples.split("\n", k)[k - 1]
-    s, p, o, _ = line.split(" ")
-    return SnapshotTriple(
-        (s, p, o),
-        parse_registry(snapshot.registry).total_weight(p),
-        _basis_index(snapshot.vocabulary, s),
-        _basis_index(snapshot.vocabulary, o),
-        snapshot.d,
-    )
+    registry = parse_registry(snapshot.registry)
+    entries = snapshot.vocabulary.split("\n")[:-1]  # not the empty string after the last LF
+    try:
+        s, p, o, dot = line.split(" ")
+        subject_index, object_index = entries.index(s), entries.index(o)
+    except ValueError:
+        raise _line_fault(line, k, registry, entries) from None
+    if dot != "." or p not in registry or registry.is_backward(p):
+        raise _line_fault(line, k, registry, entries)
+    return SnapshotTriple((s, p, o), registry.total_weight(p), subject_index, object_index, snapshot.d)

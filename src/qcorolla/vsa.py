@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 
+_HEX_BITS = {ch: [int(bit) for bit in f"{int(ch, 16):04b}"] for ch in "0123456789abcdefABCDEF"}
+
 
 def _frozen_bits(values) -> np.ndarray:
     bits = np.asarray(values, dtype=np.uint8)
@@ -66,13 +68,13 @@ class HyperVector:
 
     @classmethod
     def from_hex(cls, text: str, n: int | None = None) -> "HyperVector":
-        """Parse a hex serialization; ``n`` defaults to 4 bits per character."""
+        """Parse a hex serialization of ASCII ``0-9a-fA-F``; ``n`` defaults to 4 bits per character."""
         if not text:
             raise ValueError("empty hex string")
-        values = [int(ch, 16) for ch in text]
-        bits = np.array(
-            [(v >> shift) & 1 for v in values for shift in (3, 2, 1, 0)], dtype=np.uint8
-        )
+        for at, ch in enumerate(text, 1):
+            if ch not in _HEX_BITS:
+                raise ValueError(f"{ch!r} (U+{ord(ch):04X}) at position {at} is not a hex digit 0-9, a-f or A-F")
+        bits = np.array([bit for ch in text for bit in _HEX_BITS[ch]], dtype=np.uint8)
         size = 4 * len(text) if n is None else n
         if size < 1 or size > bits.size:
             raise ValueError(f"cannot take {size} bits from {len(text)} hex characters")

@@ -28,6 +28,16 @@ person:Bob kin:HusbandOf person:Mary .
 person:Mary kin:WifeOf person:Bob .
 """
 
+# vectors far from unit scale, each with the probabilities it normalizes to
+EXTREME_AMPLITUDES = {
+    "1e200 beside 1e300": ([1e200, 1e300, 0], [0.0, 1.0, 0.0]),
+    "1e-200 and 3e-200": ([1e-200, 3e-200, 0], [0.1, 0.9, 0.0]),
+    "1e-300 twice": ([0, 1e-300, 1e-300], [0.0, 0.5, 0.5]),
+    "1e300 and 2e300": ([1e300, 2e300, 0], [0.2, 0.8, 0.0]),
+    "1e308 twice": ([1e308, 0, 1e308], [0.5, 0.0, 0.5]),
+    "complex parts near 1.5e308": ([1.5e308 + 1.5e308j, 0, 1.5e308j], [2 / 3, 0.0, 1 / 3]),
+}
+
 
 @pytest.fixture
 def kinship_paths(tmp_path):

@@ -123,6 +123,21 @@ def test_bind_xor_hex(capsys):
     assert out.strip() == "14530451"
 
 
+# only ASCII 0-9a-fA-F is hex: int(ch, 16) would also take any Unicode decimal digit
+BAD_HEX = {
+    "arabic-indic digits": ("\u0663\u0663", "'\u0663' (U+0663) at position 1"),
+    "mathematical digits": ("\U0001d7d9\U0001d7d8", "'\U0001d7d9' (U+1D7D9) at position 1"),
+    "letters past f": ("zz", "'z' (U+007A) at position 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEX))
+def test_bind_rejects_a_character_that_is_not_ascii_hex(capsys, case):
+    text, fault = BAD_HEX[case]
+    code = cli_dispatch(["bind", "--xor", text, "00"])
+    assert (code, *capsys.readouterr()) == (1, "", f"error: {fault} is not a hex digit 0-9, a-f or A-F\n")
+
+
 def test_bind_tensor_compresses_to_n(capsys):
     code = cli_dispatch(["bind", "--tensor", "deadbeef", "cafebabe"])
     out, _ = capsys.readouterr()

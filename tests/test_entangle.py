@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import build_kinship_graph
+from conftest import EXTREME_AMPLITUDES, build_kinship_graph
 from qcorolla.corolla import ConverseRegistry, CorollaGraph
 from qcorolla.entangle import (
     BELL_LABELS,
@@ -422,6 +422,15 @@ def test_round_rejects_zero_vector():
 def test_round_rejects_wrong_length():
     with pytest.raises(DimensionMismatchError):
         tessellate_round([1, 0], VOC3)
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_AMPLITUDES))
+def test_round_normalizes_without_overflow_or_underflow(case):
+    amplitudes, probabilities = EXTREME_AMPLITUDES[case]
+    k = int(np.argmax(probabilities))  # the first maximum, as ties break to the lowest index
+    symbol, fid = tessellate_round(amplitudes, VOC3)
+    assert symbol == VOC3.symbol(k)
+    assert fid == pytest.approx(probabilities[k], abs=1e-12)
 
 
 def test_round_unnormalized_input_normalized():

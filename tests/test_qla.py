@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EXTREME_AMPLITUDES
 from qcorolla.errors import (
     DimensionMismatchError,
     EmptyVectorError,
@@ -70,6 +71,12 @@ def test_make_state_empty():
 def test_make_state_normalizes(amplitudes):
     s = make_state(amplitudes)
     assert abs(np.sum(np.abs(s.amplitudes) ** 2) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_AMPLITUDES))
+def test_make_state_normalizes_without_overflow_or_underflow(case):
+    amplitudes, probabilities = EXTREME_AMPLITUDES[case]
+    assert make_state(amplitudes).probabilities() == pytest.approx(probabilities, abs=1e-12)
 
 
 def test_statevector_rejects_unnormalized():

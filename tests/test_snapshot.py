@@ -16,6 +16,7 @@ from qcorolla.corolla import ConverseRegistry, CorollaGraph, load_registry
 from qcorolla.entangle import synthesize_joint_state, triple_joint_state
 from qcorolla.errors import (
     AlreadyPairedError,
+    DuplicateSymbolError,
     MalformedTokenError,
     SnapshotError,
     UnknownNodeSymbolError,
@@ -104,6 +105,7 @@ CANONICAL_FAULTS = {
     "unknown object": ("person:Bob kin:ParentOf person:Zed .\n", UnknownNodeSymbolError, 1, 25),
     "two spaces": ("person:Bob  kin:ParentOf person:Alice .\n", MalformedTokenError, 1, 1),
     "no dot": ("person:Bob kin:ParentOf person:Alice !\n", MalformedTokenError, 1, 1),
+    "empty object": ("person:Bob kin:ParentOf  .\n", UnknownNodeSymbolError, 1, 25),
     "second line": (
         "person:Bob kin:HusbandOf person:Mary .\nperson:Bob kin:ParentOf person:Eve .\n",
         UnknownNodeSymbolError,
@@ -158,6 +160,38 @@ def test_bulk_load_rejects_a_vocabulary_entry_that_is_not_a_token(tmp_path):
     with pytest.raises(MalformedTokenError) as excinfo:
         load_snapshot(tmp_path)
     assert excinfo.value.line == 2
+
+
+def test_bulk_load_names_the_line_of_a_repeated_vocabulary_entry(tmp_path, capsys):
+    save_snapshot(build_kinship_graph(), tmp_path)
+    rewrite_with_crc(tmp_path, "vocabulary.txt", "person:Bob\nperson:Alice\nperson:Bob\n")
+    with pytest.raises(DuplicateSymbolError) as excinfo:
+        load_snapshot(tmp_path)
+    assert (excinfo.value.line, excinfo.value.column) == (3, 1)
+    for argv in (["validate"], ["query", "person:Bob"]):
+        assert cli_dispatch(argv + ["--store", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", "error: line 3, column 1: duplicate symbol 'person:Bob'\n")
+
+
+@pytest.mark.parametrize("case", sorted(CANONICAL_FAULTS))
+def test_one_line_commands_reject_a_bad_line_as_validate_does(tmp_path, capsys, case):
+    text, _, line, column = CANONICAL_FAULTS[case]
+    save_snapshot(build_kinship_graph(), tmp_path)
+    rewrite_with_crc(tmp_path, "triples.nt", text)
+    store_ = ["--store", str(tmp_path)]
+    assert cli_dispatch(["validate", *store_]) == 1
+    _, expected = capsys.readouterr()
+    assert expected.startswith(f"error: line {line}, column {column}: ")
+    for argv in (["entangle", f"t{line}"], ["measure", f"t{line}"], ["entropy", "--triple", f"t{line}"]):
+        assert cli_dispatch(argv + store_) == 1, argv
+        assert capsys.readouterr() == ("", expected), argv
+
+
+def test_one_line_commands_read_only_their_own_line(tmp_path, capsys):
+    save_snapshot(build_kinship_graph(), tmp_path)
+    rewrite_with_crc(tmp_path, "triples.nt", CANONICAL_FAULTS["second line"][0])  # line 2 is bad
+    assert cli_dispatch(["entangle", "t1", "--store", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["statement"] == ["person:Bob", "kin:HusbandOf", "person:Mary"]
 
 
 # --- one writer: make_corolla and join ---------------------------------------------------
