@@ -5,9 +5,10 @@ diagnostics go to stderr; machine-readable data goes to stdout. The only
 entropy source is the ``--seed`` flag, so identical invocations produce
 identical output.
 
-Each handler imports only the layers its command runs: the store commands
-and the closed-form ``entangle`` and ``entropy`` start without numpy, which
-only ``measure``, ``bind`` and ``round`` load. Every store command opens
+Each handler imports only the layers its command runs. Only ``measure``
+and ``round`` load numpy; the store commands, the closed-form ``entangle``
+and ``entropy``, and ``bind``, whose XOR and tensor fold are integer
+operations, start without it. Every store command opens
 the snapshot through ``store.open_snapshot``; only ``validate``, ``query``
 and ``export`` build the graph, while ``entangle``, ``measure`` and
 ``entropy --triple`` read one line of it and ``entropy --node-vocab`` only d.
@@ -191,12 +192,17 @@ def _cmd_entropy(args) -> int:
 def _cmd_bind(args) -> int:
     from . import vsa
 
-    a = vsa.HyperVector.from_hex(args.a)
-    b = vsa.HyperVector.from_hex(args.b)
+    operands = []
+    for name, text in (("a", args.a), ("b", args.b)):
+        try:
+            operands.append(vsa.HyperVector.from_hex(text))
+        except ValueError as exc:
+            raise ValueError(f"operand {name}: {exc}") from None
+    a, b = operands
     if args.xor:
         print(vsa.bind_xor(a, b).to_hex())
     else:
-        # the n^2 outer product is folded back to n bits for hex interchange
+        # the tensor product is folded back to n bits for hex interchange; its n^2 matrix is never built
         print(vsa.compress_outer(vsa.bind_tensor(a, b)).to_hex())
     return 0
 

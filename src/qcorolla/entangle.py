@@ -257,10 +257,10 @@ def measure(state: StateVector | JointState, shots: int, seed: int) -> Measureme
     ``state`` for the same seed. Identical seeds give identical records.
     Only outcomes that occurred appear in ``counts``.
     """
-    import numpy as np
-
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
+    import numpy as np
+
     if isinstance(state, JointState):
         outcomes, amplitudes = zip(*state.support())
         probs = np.square(amplitudes)

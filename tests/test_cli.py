@@ -125,16 +125,21 @@ def test_bind_xor_hex(capsys):
 
 # only ASCII 0-9a-fA-F is hex: int(ch, 16) would also take any Unicode decimal digit
 BAD_HEX = {
-    "arabic-indic digits": ("\u0663\u0663", "'\u0663' (U+0663) at position 1"),
-    "mathematical digits": ("\U0001d7d9\U0001d7d8", "'\U0001d7d9' (U+1D7D9) at position 1"),
-    "letters past f": ("zz", "'z' (U+007A) at position 1"),
+    "arabic-indic digits": (["\u0663\u0663", "00"], "operand a: '\u0663' (U+0663) at position 1"),
+    "mathematical digits": (["\U0001d7d9\U0001d7d8", "00"], "operand a: '\U0001d7d9' (U+1D7D9) at position 1"),
+    "letters past f": (["zz", "00"], "operand a: 'z' (U+007A) at position 1"),
+    "letters past f in b": (["00", "zz"], "operand b: 'z' (U+007A) at position 1"),
+    # int(text, 16) accepts each of these, so the ASCII check must come first
+    "underscore": (["de_ad", "0000"], "operand a: '_' (U+005F) at position 3"),
+    "0x prefix": (["0xab", "0000"], "operand a: 'x' (U+0078) at position 2"),
+    "leading space": ([" ab", "000"], "operand a: ' ' (U+0020) at position 1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_HEX))
 def test_bind_rejects_a_character_that_is_not_ascii_hex(capsys, case):
-    text, fault = BAD_HEX[case]
-    code = cli_dispatch(["bind", "--xor", text, "00"])
+    operands, fault = BAD_HEX[case]
+    code = cli_dispatch(["bind", "--xor", *operands])
     assert (code, *capsys.readouterr()) == (1, "", f"error: {fault} is not a hex digit 0-9, a-f or A-F\n")
 
 
@@ -319,7 +324,12 @@ NUMPY_FREE = {
     "entangle": ["t1"],
     "entropy --triple": ["t2", "--base", "3"],
     "entropy --node-vocab": [],
+    "bind --xor": ["deadbeef", "cafebabe"],
+    "bind --tensor": ["deadbeef", "cafebabe"],
+    "measure --shots 0": ["t1"],
 }
+# commands of NUMPY_FREE that are rejected, before anything loads numpy
+NUMPY_FREE_EXIT_1 = {"measure --shots 0"}
 
 _PROBE = """import sys
 from qcorolla.cli import cli_dispatch
@@ -334,12 +344,14 @@ def test_command_runs_without_numpy(store_dir, kinship_paths, tmp_path, command)
     vocab, registry, triples = kinship_paths
     places = {"tmp": tmp_path, "vocab": vocab, "registry": registry, "triples": triples}
     store = tmp_path / "fresh" if command == "ingest" else store_dir
-    argv = [*command.split(), *(a.format(**places) for a in NUMPY_FREE[command]), "--store", str(store)]
+    argv = [*command.split(), *(a.format(**places) for a in NUMPY_FREE[command])]
+    if not command.startswith("bind"):
+        argv += ["--store", str(store)]
     src = str(Path(qcorolla.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True,
                           text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == (1 if command in NUMPY_FREE_EXIT_1 else 0), done.stderr
     assert done.stderr.splitlines()[-1] == "numpy not loaded"
 
 

@@ -234,6 +234,63 @@ def test_tensor_fold_builds_no_wide_temporaries():
     assert peak < 64 << 20
 
 
+def fft_fold(a: HyperVector, b: HyperVector) -> np.ndarray:
+    """Circular convolution of the bipolar vectors through the FFT, thresholded at > 0."""
+    x, y = (2.0 * v.bits - 1.0 for v in (a, b))
+    sums = np.rint(np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(y), n=a.n))
+    return (sums > 0).astype(np.uint8)
+
+
+hex_operands = st.integers(min_value=1, max_value=300).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        *[st.text("0123456789abcdefABCDEF", min_size=-(-n // 4), max_size=-(-n // 4))] * 2,
+    )
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(hex_operands)
+def test_factored_fold_matches_the_dense_fold_and_the_fft(case):
+    n, a_hex, b_hex = case
+    a, b = HyperVector.from_hex(a_hex, n=n), HyperVector.from_hex(b_hex, n=n)
+    op = bind_tensor(a, b)
+    folded = compress_outer(op)
+    assert folded == compress_outer(OuterProduct(op.entries))
+    assert np.array_equal(folded.bits, fft_fold(a, b))
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_factored_fold_at_the_field_width_edges(n):
+    # all ones puts n, the largest coefficient, in the middle field of the product
+    ones = HyperVector([1] * n)
+    one_zero = HyperVector([1] * (n - 1) + [0])
+    pairs = [(ones, ones), (ones, one_zero), (one_zero, one_zero),
+             (random_hypervector(n, 60), random_hypervector(n, 61))]
+    for a, b in pairs:
+        op = bind_tensor(a, b)
+        folded = compress_outer(op)
+        assert folded == compress_outer(OuterProduct(op.entries))
+        assert np.array_equal(folded.bits, fft_fold(a, b))
+
+
+def test_factored_fold_at_70000_matches_the_fft():
+    a, b = random_hypervector(70_000, 62), random_hypervector(70_000, 63)
+    assert np.array_equal(compress_outer(bind_tensor(a, b)).bits, fft_fold(a, b))
+
+
+def test_factored_fold_at_4096_builds_no_matrix():
+    op = bind_tensor(random_hypervector(4096, 64), random_hypervector(4096, 65))
+    tracemalloc.start()
+    try:
+        compress_outer(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "entries" not in op.__dict__
+
+
 # --- similarity -------------------------------------------------------------------------
 
 def test_similarity_identical():
@@ -272,6 +329,14 @@ def test_hex_non_multiple_of_four_pads():
     hv = HyperVector(np.array([1, 0, 1, 1, 0, 1]))  # 6 bits -> "b4"
     assert hv.to_hex() == "b4"
     assert HyperVector.from_hex("b4", n=6) == hv
+
+
+def test_bits_are_built_once_and_read_only():
+    hv = HyperVector.from_hex("b4", n=6)
+    assert "bits" not in hv.__dict__
+    assert hv.bits is hv.bits
+    assert not hv.bits.flags.writeable
+    assert hv.bits.tolist() == [1, 0, 1, 1, 0, 1]
 
 
 def test_from_hex_rejects_bad_sizes():
