@@ -45,6 +45,7 @@ BACKWARD = "backward"
 WEIGHT_TOL = 1e-12
 
 Triple = Tuple[str, str, str]
+Edge = Tuple[str, int, int]  # (triple id, forward half-edge id, backward half-edge id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,18 +177,30 @@ def converse_statement(registry: ConverseRegistry, triple: Triple) -> Triple:
     return (o, registry.converse_name(p), s)
 
 
+def triple_number(triple_id: str, edges: int) -> int:
+    """K of a triple id ``tK``; only the exact form of 1 <= K <= edges is one."""
+    try:
+        k = int(triple_id[1:])
+    except (TypeError, ValueError):  # TypeError: an id that is not a str
+        k = 0
+    if not 1 <= k <= edges or triple_id != f"t{k}":
+        raise UnknownTripleError(f"no triple {triple_id!r}")
+    return k
+
+
 class CorollaGraph:
     """Half-edge graph over a node vocabulary and a converse registry.
 
-    One index per fact: ``_owned`` (node symbol -> its half-edge ids,
-    ascending), ``_half_edges`` (id -> Corolla), ``_edge_of``
-    (paired half-edge id -> triple id), ``_triples`` (triple id -> forward
-    and backward half-edge ids), ``_triple_keys`` ((s, p, o) -> triple id).
-    Ids are consecutive and never freed, so the next one is the map's size
-    + 1. The involution is derived from ``_edge_of`` and ``_triples``.
-    Only ``make_corolla`` (with ``add_node``) and ``join`` write the indexes.
-    Mutations cost O(1); ``half_edges_of``, ``corollas_of`` and
-    ``walk_half_edges`` O(degree).
+    Ids are list positions, consecutive from 1 and never freed:
+    ``_half_edges[h - 1]`` is half-edge h's Corolla, ``_edge_of[h - 1]`` its
+    edge record or None while it is unpaired, and ``_triples[K - 1]`` the
+    edge record of ``tK``. An edge record is one tuple (triple id, forward
+    id, backward id) made by ``join`` and shared by both half-edges and the
+    triple list, so each pairing is stored once and the involution is read
+    from it. ``_owned`` maps a node symbol to its half-edge ids, ascending,
+    and ``_triple_keys`` an (s, p, o) to its triple id. Only ``make_corolla``
+    (with ``add_node``) and ``join`` write the indexes. Mutations cost O(1);
+    ``walk_half_edges`` and ``corollas_of`` O(degree).
 
     Single-writer / multi-reader: mutations need exclusive access.
     """
@@ -196,9 +209,9 @@ class CorollaGraph:
         self.node_vocabulary = node_vocabulary
         self.registry = registry
         self._owned: Dict[str, List[int]] = {}
-        self._half_edges: Dict[int, Corolla] = {}
-        self._edge_of: Dict[int, str] = {}
-        self._triples: Dict[str, Tuple[int, int]] = {}
+        self._half_edges: List[Corolla] = []
+        self._edge_of: List[Edge | None] = []
+        self._triples: List[Edge] = []
         self._triple_keys: Dict[Triple, str] = {}
 
     # -- nodes ---------------------------------------------------------
@@ -231,19 +244,15 @@ class CorollaGraph:
         if owned is None:
             owned = self._owned[self.add_node(node)]
         half_edge_id = len(self._half_edges) + 1  # one int object for the Corolla and every index
-        corolla = self._half_edges[half_edge_id] = Corolla(node, predicate, half_edge_id)
+        corolla = Corolla(node, predicate, half_edge_id)
+        self._half_edges.append(corolla)
+        self._edge_of.append(None)
         owned.append(half_edge_id)
         return corolla
 
-    def half_edges_of(self, node: str) -> Tuple[Corolla, ...]:
-        """The half-edges a node owns, paired or not, in ascending id order."""
-        if node not in self._owned:
-            raise UnknownNodeError(f"node {node!r} not in graph")
-        return tuple(self._half_edges[h] for h in self._owned[node])
-
     def corollas_of(self, node: str) -> Set[Corolla]:
         """All half-edges owned by a node, paired or not."""
-        return set(self.half_edges_of(node))
+        return {corolla for corolla, _, _, _ in self.walk_half_edges(node)}
 
     def walk_half_edges(
         self, node: str
@@ -257,34 +266,18 @@ class CorollaGraph:
         return self._walk(owned)
 
     def _walk(self, owned: List[int]):
-        half_edges, edge_of, triples = self._half_edges, self._edge_of, self._triples
+        half_edges, edge_of = self._half_edges, self._edge_of
         for h in owned:
-            triple_id = edge_of.get(h)
-            if triple_id is None:
-                yield half_edges[h], None, None, None
+            edge = edge_of[h - 1]
+            if edge is None:
+                yield half_edges[h - 1], None, None, None
             else:
-                forward_id, backward_id = triples[triple_id]
-                yield half_edges[h], triple_id, half_edges[forward_id], half_edges[backward_id]
-
-    def partner_of(self, corolla: Corolla) -> Corolla | None:
-        """The involution image of a half-edge, or None while unpaired."""
-        image = self._image(corolla.half_edge_id)
-        return None if image is None else self._half_edges[image]
-
-    def edge_of(self, corolla: Corolla) -> str | None:
-        """Id of the triple a half-edge belongs to, or None while unpaired."""
-        return self._edge_of.get(corolla.half_edge_id)
+                triple_id, forward_id, backward_id = edge
+                yield half_edges[h - 1], triple_id, half_edges[forward_id - 1], half_edges[backward_id - 1]
 
     def involution(self) -> Dict[int, int]:
-        """The half-edge pairing map (both directions of every edge)."""
-        return {f: self._image(f) for f in self._edge_of}
-
-    def _image(self, half_edge_id: int) -> int | None:
-        triple_id = self._edge_of.get(half_edge_id)
-        if triple_id is None:
-            return None
-        left_id, right_id = self._triples[triple_id]
-        return right_id if half_edge_id == left_id else left_id
+        """The half-edge pairing map (both directions of every edge), in id order."""
+        return {h: edge[2] if h == edge[1] else edge[1] for h, edge in enumerate(self._edge_of, 1) if edge}
 
     @property
     def half_edge_count(self) -> int:
@@ -301,12 +294,14 @@ class CorollaGraph:
         """
         left_id, right_id = left.half_edge_id, right.half_edge_id
         half_edges, edge_of = self._half_edges, self._edge_of
-        if half_edges.get(left_id) is not left or half_edges.get(right_id) is not right:
+        n = len(half_edges)
+        if not (0 < left_id <= n and 0 < right_id <= n) \
+                or half_edges[left_id - 1] is not left or half_edges[right_id - 1] is not right:
             raise UnknownNodeError("corolla does not belong to this graph")
         if left_id == right_id:
             raise SelfJoinError("cannot join a corolla with itself")
-        if left_id in edge_of or right_id in edge_of:
-            raise AlreadyPairedError(f"half-edge {left_id if left_id in edge_of else right_id} already paired")
+        if edge_of[left_id - 1] or edge_of[right_id - 1]:
+            raise AlreadyPairedError(f"half-edge {left_id if edge_of[left_id - 1] else right_id} already paired")
 
         lp, rp = left.predicate, right.predicate
         if lp.direction != FORWARD or rp.direction != BACKWARD \
@@ -323,8 +318,8 @@ class CorollaGraph:
             raise AlreadyPairedError(f"triple {key} already present as {triple_keys[key]}")
 
         triple_id = f"t{len(self._triples) + 1}"
-        edge_of[left_id] = edge_of[right_id] = triple_id
-        self._triples[triple_id] = (left_id, right_id)
+        edge = edge_of[left_id - 1] = edge_of[right_id - 1] = (triple_id, left_id, right_id)
+        self._triples.append(edge)
         triple_keys[key] = triple_id
         return triple_id
 
@@ -332,8 +327,9 @@ class CorollaGraph:
 
     def triple(self, triple_id: str) -> Triple:
         """The stored orientation (subject, forward predicate, object)."""
-        left, right = self.edge_corollas(triple_id)
-        return (left.node, left.predicate.name, right.node)
+        _, left_id, right_id = self._triples[triple_number(triple_id, len(self._triples)) - 1]
+        left = self._half_edges[left_id - 1]
+        return (left.node, left.predicate.name, self._half_edges[right_id - 1].node)
 
     def converse_of(self, triple_id: str) -> Triple:
         """The converse reading (object, backward predicate, subject)."""
@@ -348,13 +344,7 @@ class CorollaGraph:
         return {tid: triple for triple, tid in self._triple_keys.items()}
 
     def triple_ids(self) -> Tuple[str, ...]:
-        return tuple(self._triples)
-
-    def edge_corollas(self, triple_id: str) -> Tuple[Corolla, Corolla]:
-        if triple_id not in self._triples:
-            raise UnknownTripleError(f"no triple {triple_id!r}")
-        left_id, right_id = self._triples[triple_id]
-        return self._half_edges[left_id], self._half_edges[right_id]
+        return tuple(triple_id for triple_id, _, _ in self._triples)
 
     @property
     def edge_count(self) -> int:
@@ -372,7 +362,7 @@ class CorollaGraph:
         """
         report = ValidationReport()
         involution = self.involution()
-        report.unpaired = sorted(set(self._half_edges) - set(involution))
+        report.unpaired = [h for h, edge in enumerate(self._edge_of, 1) if edge is None]
         for f, f_prime in involution.items():
             if f_prime == f:
                 report.involution_violations.append(f"involution fixed point at half-edge {f}")
@@ -380,8 +370,9 @@ class CorollaGraph:
                 report.involution_violations.append(
                     f"involution not self-inverse at half-edge {f}"
                 )
-        for triple_id, (left_id, right_id) in self._triples.items():
-            left, right = self._half_edges[left_id], self._half_edges[right_id]
+        half_edges = self._half_edges
+        for triple_id, left_id, right_id in self._triples:
+            left, right = half_edges[left_id - 1], half_edges[right_id - 1]
             signed_sum = left.predicate.half_weight + right.predicate.half_weight
             if signed_sum != 0.0:
                 report.weight_violations.append(

@@ -85,14 +85,21 @@ class Vocabulary:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.entries:
+        entries = self.entries
+        if not entries:
             raise EmptyVocabularyError("vocabulary needs at least one symbol")
-        index = {}
-        for i, symbol in enumerate(self.entries):
-            _check_symbol(symbol)
-            if symbol in index:
-                raise DuplicateSymbolError(f"duplicate symbol {symbol!r}")
-            index[symbol] = i
+        try:  # C-level checks first: each entry one whitespace-free word, no entry twice
+            index = dict(zip(entries, range(len(entries)))) \
+                if " ".join(entries).split() == list(entries) else {}
+        except TypeError:  # an entry that is not a str
+            index = {}
+        if len(index) != len(entries):  # the loop names the first fault
+            index = {}
+            for i, symbol in enumerate(entries):
+                _check_symbol(symbol)
+                if symbol in index:
+                    raise DuplicateSymbolError(f"duplicate symbol {symbol!r}")
+                index[symbol] = i
         object.__setattr__(self, "_index", index)
 
     @property

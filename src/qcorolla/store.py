@@ -37,6 +37,7 @@ from .corolla import (
     converse_statement,
     load_registry,
     parse_registry,
+    triple_number,
 )
 from .errors import (
     AlreadyPairedError,
@@ -48,7 +49,6 @@ from .errors import (
     SnapshotError,
     UnknownNodeSymbolError,
     UnknownPredicateError,
-    UnknownTripleError,
 )
 from .qusym import (
     SEPARATORS,
@@ -498,31 +498,28 @@ def _line_fault(line: str, lineno: int, registry: ConverseRegistry, symbols: Con
     return UnknownNodeSymbolError(f"node symbol {symbol!r} not in vocabulary", lineno, at)
 
 
-def _line_number(triple_id: str, edges: int) -> int:
-    """K of a triple id ``tK``; only the exact form of 1 <= K <= edges is one."""
-    try:
-        k = int(triple_id[1:])
-    except ValueError:
-        k = 0
-    if not 1 <= k <= edges or triple_id != f"t{k}":
-        raise UnknownTripleError(f"no triple {triple_id!r}")
-    return k
-
-
 def read_triple(directory: str | Path, triple_id: str) -> SnapshotTriple:
     """Triple ``tK`` of a snapshot from line K of its triples file, with its
     weight and basis indices, building no graph and no vocabulary. Only line K
     is checked, as ``load_snapshot`` checks it and with the same diagnosis."""
     snapshot = open_snapshot(directory)
-    k = _line_number(triple_id, snapshot.edges)
+    k = triple_number(triple_id, snapshot.edges)
     line = snapshot.triples.split("\n", k)[k - 1]
     registry = parse_registry(snapshot.registry)
-    entries = snapshot.vocabulary.split("\n")[:-1]  # not the empty string after the last LF
+    lines = "\n" + snapshot.vocabulary  # each entry, the first too, is "\n" + entry + "\n" in it
     try:
         s, p, o, dot = line.split(" ")
-        subject_index, object_index = entries.index(s), entries.index(o)
-    except ValueError:
-        raise _line_fault(line, k, registry, entries) from None
-    if dot != "." or p not in registry or registry.is_backward(p):
-        raise _line_fault(line, k, registry, entries)
+        subject_index, object_index = _line_index(lines, s), _line_index(lines, o)
+        if dot != "." or p not in registry or registry.is_backward(p):
+            raise ValueError(line)
+    except ValueError:  # only now are the entries split, to name the fault
+        raise _line_fault(line, k, registry, snapshot.vocabulary.split("\n")[:-1]) from None
     return SnapshotTriple((s, p, o), registry.total_weight(p), subject_index, object_index, snapshot.d)
+
+
+def _line_index(lines: str, symbol: str) -> int:
+    """0-based index of line ``symbol`` among the LF-ended lines after the first LF; ValueError if none."""
+    at = lines.find(f"\n{symbol}\n")
+    if at < 0:
+        raise ValueError(symbol)
+    return lines.count("\n", 0, at)

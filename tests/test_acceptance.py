@@ -83,11 +83,15 @@ def test_criterion_03_entanglement_entropy_fixed_points():
 def test_criterion_04_signed_half_weight_ledger(large_random_graph):
     graph = large_random_graph
     assert graph.edge_count == 10_000
-    for tid in graph.triple_ids():
-        left, right = graph.edge_corollas(tid)
-        assert left.predicate.half_weight + right.predicate.half_weight == 0.0
-        registered = graph.registry.total_weight(left.predicate.name)
-        assert abs(left.predicate.half_weight) + abs(right.predicate.half_weight) == registered
+    edges = 0
+    for node in graph.nodes():
+        for corolla, _, left, right in graph.walk_half_edges(node):
+            if corolla is left:  # each edge once, at its forward half-edge
+                edges += 1
+                assert left.predicate.half_weight + right.predicate.half_weight == 0.0
+                registered = graph.registry.total_weight(left.predicate.name)
+                assert abs(left.predicate.half_weight) + abs(right.predicate.half_weight) == registered
+    assert edges == 10_000
 
     registry = ConverseRegistry()
     registry.register_converse("kin:ParentOf", "kin:ChildOf", 0.4)

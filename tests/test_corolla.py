@@ -178,7 +178,7 @@ def test_failed_make_corolla_changes_nothing():
     assert graph.nodes() == ()
     assert graph.half_edge_count == 0
     with pytest.raises(UnknownNodeError):
-        graph.half_edges_of("person:Bob")
+        graph.walk_half_edges("person:Bob")
     assert graph.make_corolla("person:Alice", "kin:ChildOf").half_edge_id == 1
 
 
@@ -321,18 +321,17 @@ def test_corollas_of_unknown_node():
 def test_vocabulary_symbol_outside_graph_is_unknown_node():
     graph = fresh_graph()
     graph.add_node("person:Bob")
-    for lookup in (graph.corollas_of, graph.half_edges_of):
+    for lookup in (graph.corollas_of, graph.walk_half_edges):
         with pytest.raises(UnknownNodeError):
             lookup("person:Mary")
 
 
-def test_half_edges_of_in_ascending_id_order():
+def test_walk_half_edges_in_ascending_id_order():
     graph = build_kinship_graph()
     dangling = graph.make_corolla("person:Bob", "kin:WifeOf")
-    ids = [c.half_edge_id for c in graph.half_edges_of("person:Bob")]
-    assert ids == [1, 3, dangling.half_edge_id]
-    assert graph.edge_of(dangling) is None
-    assert graph.partner_of(dangling) is None
+    walked = list(graph.walk_half_edges("person:Bob"))
+    assert [corolla.half_edge_id for corolla, _, _, _ in walked] == [1, 3, dangling.half_edge_id]
+    assert walked[-1] == (dangling, None, None, None)
 
 
 def test_self_loop_node_owns_both_half_edges():
@@ -340,9 +339,11 @@ def test_self_loop_node_owns_both_half_edges():
     left = graph.make_corolla("person:Bob", "kin:ParentOf")
     right = graph.make_corolla("person:Bob", "kin:ChildOf")
     tid = graph.join(left, right)
-    assert graph.half_edges_of("person:Bob") == (left, right)
-    assert graph.edge_of(left) == graph.edge_of(right) == tid
-    assert graph.partner_of(left) is right and graph.partner_of(right) is left
+    walked = list(graph.walk_half_edges("person:Bob"))
+    assert walked == [(left, tid, left, right), (right, tid, left, right)]
+    assert all(a is b for row in walked for a, b in zip(row[2:], (left, right)))
+    assert graph.corollas_of("person:Bob") == {left, right}
+    assert graph.involution() == {left.half_edge_id: right.half_edge_id, right.half_edge_id: left.half_edge_id}
 
 
 def test_directed_predicate_shared_per_name():
@@ -356,14 +357,15 @@ def test_directed_predicate_shared_per_name():
 
 def scanned_corollas(graph, symbol):
     """Brute-force oracle: every half-edge whose owner is ``symbol``, in id order."""
-    return [c for _, c in sorted(graph._half_edges.items()) if c.node == symbol]
+    return [c for c in sorted(graph._half_edges, key=lambda c: c.half_edge_id) if c.node == symbol]
 
 
 def assert_index_matches_scan(graph):
+    assert [c.half_edge_id for c in graph._half_edges] == list(range(1, graph.half_edge_count + 1))
     for node in graph.nodes():
         scanned = scanned_corollas(graph, node)
         assert graph.corollas_of(node) == set(scanned)
-        assert list(graph.half_edges_of(node)) == scanned
+        assert [corolla for corolla, _, _, _ in graph.walk_half_edges(node)] == scanned
 
 
 # --- validation -------------------------------------------------------------------------
@@ -385,34 +387,43 @@ def test_validate_reports_dangling_corolla():
 def test_validate_flags_corrupted_weight():
     graph = build_kinship_graph()
     tid = graph.triple_id_of(("person:Bob", "kin:ParentOf", "person:Alice"))
-    _, right = graph.edge_corollas(tid)
+    _, _, right_id = graph._triples[int(tid[1:]) - 1]
+    right = graph._half_edges[right_id - 1]
     corrupted = dataclasses.replace(
         right, predicate=dataclasses.replace(right.predicate, half_weight=-0.19)
     )
-    graph._half_edges[right.half_edge_id] = corrupted
-    report = graph.validate()
-    assert any("sum to" in line for line in report.weight_violations)
-    assert any("moduli" in line for line in report.weight_violations)
+    graph._half_edges[right_id - 1] = corrupted
+    assert graph.validate().lines() == [
+        f"edge {tid}: half-weights sum to 0.010000000000000009, not 0",
+        f"edge {tid}: moduli sum 0.39 != registered 0.4",
+    ]
 
 
 def test_validate_flags_involution_fixed_point():
     graph = build_kinship_graph()
-    tid = graph.triple_ids()[0]
-    left_id, _ = graph._triples[tid]
-    graph._triples[tid] = (left_id, left_id)
+    tid, left_id, right_id = graph._triples[0]
+    # the edge record is shared by the triple list and both half-edges: replace it in all three
+    graph._triples[0] = graph._edge_of[left_id - 1] = graph._edge_of[right_id - 1] = (tid, left_id, left_id)
     report = graph.validate()
     assert not report.is_valid
-    assert f"involution fixed point at half-edge {left_id}" in report.involution_violations
+    assert report.lines() == [
+        f"involution fixed point at half-edge {left_id}",
+        f"involution not self-inverse at half-edge {right_id}",
+        f"edge {tid}: half-weights sum to 0.4, not 0",
+    ]
 
 
 def test_validate_flags_involution_not_self_inverse():
     graph = build_kinship_graph()
-    first, second = graph.triple_ids()
-    left_id, _ = graph._triples[first]
-    graph._edge_of[left_id] = second
+    first, second = graph._triples
+    _, left_id, right_id = first
+    graph._edge_of[left_id - 1] = second
     report = graph.validate()
     assert not report.is_valid
-    assert f"involution not self-inverse at half-edge {left_id}" in report.involution_violations
+    assert report.lines() == [
+        f"involution not self-inverse at half-edge {left_id}",
+        f"involution not self-inverse at half-edge {right_id}",
+    ]
 
 
 def test_validate_flags_inert_edge_as_warning():
@@ -456,16 +467,25 @@ def test_node_index_matches_scan_large_graph(large_random_graph):
 
 
 def assert_walk_matches_lookups(graph):
-    """The walk yields what half_edges_of, edge_of and edge_corollas give per half-edge."""
+    """Each walked half-edge is one end of the triple its id names: ``triple`` and
+    ``triple_id_of`` agree with the graph's own forward and backward corollas, and
+    the involution pairs those two."""
+    involution = graph.involution()
     for node in graph.nodes():
-        expected = []
-        for corolla in graph.half_edges_of(node):
-            triple_id = graph.edge_of(corolla)
-            ends = (None, None) if triple_id is None else graph.edge_corollas(triple_id)
-            expected.append((corolla, triple_id, *ends))
-        walked = list(graph.walk_half_edges(node))
-        assert walked == expected
-        assert all(a is b for row, want in zip(walked, expected) for a, b in zip(row, want))
+        for corolla, triple_id, forward, backward in graph.walk_half_edges(node):
+            assert corolla is graph._half_edges[corolla.half_edge_id - 1] and corolla.node == node
+            if triple_id is None:
+                assert forward is None and backward is None
+                assert corolla.half_edge_id not in involution
+                continue
+            assert corolla is forward or corolla is backward
+            assert forward is graph._half_edges[forward.half_edge_id - 1]
+            assert backward is graph._half_edges[backward.half_edge_id - 1]
+            s, p, o = graph.triple(triple_id)
+            assert (forward.node, forward.predicate.name, backward.node) == (s, p, o)
+            assert backward.predicate.name == graph.registry.converse_name(p)
+            assert graph.triple_id_of((s, p, o)) == triple_id
+            assert involution[forward.half_edge_id] == backward.half_edge_id
 
 
 @settings(max_examples=20, deadline=None)
@@ -492,8 +512,8 @@ def test_walk_half_edges_unknown_node_raises_on_call():
 def test_edge_conservation_large_graph(large_random_graph):
     graph = large_random_graph
     assert graph.edge_count == 10_000
-    for tid in graph.triple_ids():
-        left, right = graph.edge_corollas(tid)
+    for _, left_id, right_id in graph._triples:
+        left, right = graph._half_edges[left_id - 1], graph._half_edges[right_id - 1]
         assert left.predicate.half_weight + right.predicate.half_weight == 0.0
         registered = graph.registry.total_weight(left.predicate.name)
         assert abs(left.predicate.half_weight) + abs(right.predicate.half_weight) == registered

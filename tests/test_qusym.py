@@ -17,6 +17,7 @@ from qcorolla.errors import (
 from qcorolla.qla import von_neumann_entropy
 from qcorolla.qusym import (
     Grammar,
+    Vocabulary,
     load_vocabulary,
     qusym_ensemble,
     save_vocabulary,
@@ -56,6 +57,32 @@ def test_empty_vocabulary_rejected():
 def test_whitespace_symbol_rejected():
     with pytest.raises(ValueError):
         vocabulary_from_symbols(["a b"])
+
+
+def first_vocabulary_fault(entries):
+    """Oracle: the first entry-by-entry fault as (error type, message), or None."""
+    seen = set()
+    for symbol in entries:
+        if not symbol:
+            return ValueError, "symbols must be non-empty"
+        if symbol.split() != [symbol]:
+            return ValueError, f"symbols must not contain whitespace: {symbol!r}"
+        if symbol in seen:
+            return DuplicateSymbolError, f"duplicate symbol {symbol!r}"
+        seen.add(symbol)
+    return None
+
+
+@given(st.lists(st.text(alphabet="ab \t\n\u00a0\u2003", max_size=3), min_size=1, max_size=6))
+def test_vocabulary_checks_name_the_first_fault(entries):
+    fault = first_vocabulary_fault(entries)
+    if fault is None:
+        voc = Vocabulary(tuple(entries))
+        assert [voc.index(symbol) for symbol in entries] == list(range(len(entries)))
+        return
+    with pytest.raises(fault[0]) as caught:
+        Vocabulary(tuple(entries))
+    assert type(caught.value) is fault[0] and str(caught.value) == fault[1]
 
 
 def test_single_symbol_degenerate_space():

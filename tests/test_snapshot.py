@@ -21,6 +21,7 @@ from qcorolla.errors import (
     SnapshotError,
     UnknownNodeSymbolError,
     UnknownPredicateError,
+    UnknownTripleError,
 )
 from qcorolla.qusym import Vocabulary, load_vocabulary, vocabulary_from_symbols
 from qcorolla.store import (
@@ -47,9 +48,14 @@ def reingested(directory):
     ).graph
 
 
+def as_list(index):
+    """A list index as it is, a dict one as its list of items, so insertion order counts."""
+    return list(index.items()) if isinstance(index, dict) else index
+
+
 def assert_same_indexes(loaded, expected):
-    for name in INDEXES:  # lists of items, so dict insertion order counts
-        assert list(getattr(loaded, name).items()) == list(getattr(expected, name).items()), name
+    for name in INDEXES:
+        assert as_list(getattr(loaded, name)) == as_list(getattr(expected, name)), name
     assert loaded.nodes() == expected.nodes()
     assert loaded.node_vocabulary == expected.node_vocabulary
     assert list(loaded.registry.pairs()) == list(expected.registry.pairs())
@@ -91,7 +97,7 @@ def test_bulk_load_keeps_one_string_per_symbol_and_predicate(tmp_path):
     graph = load_snapshot(tmp_path)
     entries = {symbol: symbol for symbol in graph.node_vocabulary.entries}
     names = {name: name for name, _, _ in graph.registry.pairs()}
-    for corolla in graph._half_edges.values():
+    for corolla in graph._half_edges:
         assert corolla.node is entries[corolla.node]
     for s, p, o in graph._triple_keys:
         assert s is entries[s] and o is entries[o] and p is names[p]
@@ -197,7 +203,8 @@ def test_one_line_commands_read_only_their_own_line(tmp_path, capsys):
 # --- one writer: make_corolla and join ---------------------------------------------------
 
 def assert_one_int_object_per_half_edge(graph):
-    """Every index holds a half-edge's id as the very int object its Corolla holds.
+    """Every index holds a half-edge's id as the very int object its Corolla holds,
+    and a triple's id string and edge record are each one object wherever held.
 
     Ids above 256 are not cached by CPython, so this needs graphs of more than 128
     edges. Sharing the object is measured, not cosmetic: with the id computed a
@@ -207,15 +214,16 @@ def assert_one_int_object_per_half_edge(graph):
     object. The mechanism was not isolated: a bare dict lookup by an equal but
     distinct int costs only about 3 ns more.
     """
-    keys = {h: h for h in graph._half_edges}  # maps each id to the key object itself
+    keys = {c.half_edge_id: c.half_edge_id for c in graph._half_edges}  # each id to its Corolla's object
     assert len(keys) > 256
-    for h, corolla in graph._half_edges.items():
-        assert corolla.half_edge_id is h
+    assert list(keys) == list(range(1, graph.half_edge_count + 1))
     for ids in graph._owned.values():
         assert all(h is keys[h] for h in ids)
-    assert all(h is keys[h] for h in graph._edge_of)
-    for left, right in graph._triples.values():
+    for triple_id, left, right in graph._triples:
         assert left is keys[left] and right is keys[right]
+        assert graph._edge_of[left - 1] is graph._edge_of[right - 1] is graph._triples[int(triple_id[1:]) - 1]
+    for triple_id in graph._triple_keys.values():
+        assert triple_id is graph._triples[int(triple_id[1:]) - 1][0]
 
 
 def test_loaded_and_ingested_graphs_share_each_half_edge_id(tmp_path):
@@ -450,6 +458,24 @@ def test_bad_triple_id_prints_no_triple(kinship_paths, tmp_path, capsys, command
     code = cli_dispatch(argv + ["--store", str(directory)])
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", BAD_TRIPLE_IDS[triple_id])
+
+
+@pytest.mark.parametrize("triple_id", sorted(BAD_TRIPLE_IDS))
+def test_bad_triple_id_is_no_triple_in_the_graph(kinship_paths, triple_id):
+    """``CorollaGraph.triple`` parses an id as the CLI does, with the same message."""
+    graph = ingest(*kinship_paths).graph
+    for read in (graph.triple, graph.converse_of):
+        with pytest.raises(UnknownTripleError) as caught:
+            read(triple_id)
+        assert f"error: {caught.value}\n" == BAD_TRIPLE_IDS[triple_id]
+
+
+def test_non_str_triple_id_is_no_triple(kinship_paths, tmp_path):
+    graph = ingest(*kinship_paths).graph
+    directory = kinship_store(kinship_paths, tmp_path / "store")
+    for read in (graph.triple, lambda triple_id: read_triple(directory, triple_id)):
+        with pytest.raises(UnknownTripleError, match=r"^no triple 1$"):
+            read(1)
 
 
 def test_empty_triple_id_is_no_triple(kinship_paths, tmp_path, capsys):

@@ -417,17 +417,22 @@ def test_corolla_view_is_an_immutable_value():
 
 def scan_and_sort_query_node(graph, symbol):
     """Oracle: the query as a scan of every half-edge, sorted by id, with each
-    triple id looked up by its (s, p, o) key and the readings deduplicated."""
+    partner found by a scan of every edge record, each triple id looked up by
+    its (s, p, o) key and the readings deduplicated."""
+    partners = {}  # half-edge id -> the other end of its edge
+    for _, forward_id, backward_id in graph._triples:
+        partners[forward_id] = graph._half_edges[backward_id - 1]
+        partners[backward_id] = graph._half_edges[forward_id - 1]
     views = []
     readings = []
-    owned = [c for c in graph._half_edges.values() if c.node == symbol]
+    owned = [c for c in graph._half_edges if c.node == symbol]
     for corolla in sorted(owned, key=lambda c: c.half_edge_id):
-        partner = graph.partner_of(corolla)
+        partner = partners.get(corolla.half_edge_id)
         triple_id = None
         if partner is not None:
             forward = corolla if corolla.predicate.direction == "forward" else partner
             triple_id = graph.triple_id_of(
-                (forward.node, forward.predicate.name, graph.partner_of(forward).node)
+                (forward.node, forward.predicate.name, partners[forward.half_edge_id].node)
             )
         views.append(
             CorollaView(
