@@ -17,6 +17,7 @@ and ``export`` build the graph, while ``entangle``, ``measure`` and
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -260,6 +261,7 @@ def __getattr__(name: str):
 
 
 def main() -> None:
+    gc.disable()  # one command per process, freed at exit: no collection need walk the graph it built
     sys.exit(cli_dispatch(sys.argv[1:]))
 
 

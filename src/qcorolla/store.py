@@ -12,7 +12,8 @@ Only LF, CR LF and CR end a line (``qusym.source_lines``).
 Only forward predicate names are legal in the predicate position; a statement
 whose predicate is a backward name is accepted only as the converse
 reading of an edge already in the graph, and is folded into that edge
-rather than creating a new one.
+rather than creating a new one. Ingest is one pass: each statement is joined
+as it is parsed, and a file is rejected at its first fault in line order.
 
 Snapshots are a directory of human-readable canonical files (vocabulary,
 registry, triples) and ``snapshot.json``, which holds the format version,
@@ -29,7 +30,7 @@ import zlib
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as quote  # how json.dumps quotes a str
 from pathlib import Path
-from typing import Container, Dict, List, NamedTuple, Tuple
+from typing import Container, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .corolla import (
     ConverseRegistry,
@@ -85,17 +86,6 @@ class Statement:
         return f"{self.subject} {self.predicate} {self.object} ."
 
 
-@dataclass(frozen=True)
-class TripleDocument:
-    """Statements of one source text, in document order."""
-
-    statements: Tuple[Statement, ...]
-
-    def serialize(self) -> str:
-        """Canonical text: one statement per line, single spaces, LF endings."""
-        return "".join(f"{s.serialize()}\n" for s in self.statements)
-
-
 def parse_triple_line(line: str, lineno: int = 1) -> Statement | None:
     """Parse one source line; returns None for blank and comment lines.
 
@@ -139,11 +129,14 @@ def parse_triple_line(line: str, lineno: int = 1) -> Statement | None:
     return Statement(s, p, o, lineno, (s_column, p_column, o_column))
 
 
-def parse_triples_text(text: str) -> TripleDocument:
-    return TripleDocument(tuple(parse_triple_line(line, lineno) for lineno, line in source_lines(text)))
+def parse_triples_text(text: str) -> Iterator[Statement]:
+    """The statements of a triples text in line order, each parsed, and any fault raised, as it is drawn."""
+    for lineno, line in source_lines(text):
+        yield parse_triple_line(line, lineno)
 
 
-def load_triples(path: str | Path) -> TripleDocument:
+def load_triples(path: str | Path) -> Iterator[Statement]:
+    """``parse_triples_text`` of a file read at the call, so a missing file or a non-UTF-8 byte raises here."""
     return parse_triples_text(read_source(path))
 
 
@@ -177,21 +170,22 @@ def _column(statement: Statement, index: int) -> int | None:
 
 
 def ingest_document(
-    vocabulary: Vocabulary, registry: ConverseRegistry, document: TripleDocument
+    vocabulary: Vocabulary, registry: ConverseRegistry, statements: Iterable[Statement]
 ) -> IngestResult:
     """Join a corolla pair per statement, folding converse restatements.
 
-    Exact duplicate statements are skipped with a warning count. A
-    statement whose predicate is a backward name must match an existing
-    edge's converse reading; otherwise it is rejected. Every rejection
+    ``statements`` is consumed once and counted as it goes; those from
+    ``parse_triples_text`` are parsed as they are joined, so the first fault
+    in line order is raised. Exact duplicate statements are skipped with a
+    warning count. A statement whose predicate is a backward name must match
+    an existing edge's converse reading; otherwise it is rejected. Every rejection
     carries the statement's line and, for a statement read from triples
     text, the column of the offending token.
     """
     graph = CorollaGraph(vocabulary, registry)
-    duplicates = 0
-    folded = 0
+    count = duplicates = folded = 0
     with _CollectorPaused():
-        for statement in document.statements:
+        for count, statement in enumerate(statements, 1):
             s, p, o = statement.triple
             if p not in registry:
                 raise UnknownPredicateError(
@@ -215,12 +209,7 @@ def ingest_document(
             except UnknownNodeSymbolError as exc:
                 at = _column(statement, 0 if s not in vocabulary else 2)
                 raise UnknownNodeSymbolError(str(exc), statement.line, at) from None
-    return IngestResult(
-        graph=graph,
-        statements=len(document.statements),
-        duplicates=duplicates,
-        folded=folded,
-    )
+    return IngestResult(graph=graph, statements=count, duplicates=duplicates, folded=folded)
 
 
 def ingest(
@@ -229,8 +218,7 @@ def ingest(
     """Parse the three source files and assemble the corolla graph."""
     vocabulary = load_vocabulary(voc_path)
     registry = load_registry(registry_path)
-    document = load_triples(triples_path)
-    return ingest_document(vocabulary, registry, document)
+    return ingest_document(vocabulary, registry, load_triples(triples_path))
 
 
 # -- queries -----------------------------------------------------------------
@@ -314,15 +302,22 @@ def export_jsonl(graph: CorollaGraph, path: str | Path) -> int:
     return len(statements)
 
 
-def load_jsonl(path: str | Path) -> TripleDocument:
-    """Read an export back into a document of forward statements."""
+def load_jsonl(path: str | Path) -> List[Statement]:
+    """Read an export back into its forward statements. Only LF ends a record (a CR before
+    it is JSON whitespace); a line that is not a JSON object with string ``s``, ``p`` and
+    ``o`` raises ``MalformedTokenError`` at its line."""
     statements = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_bytes().decode("utf-8").split("\n"), start=1):
         if not raw.strip():
             continue
-        record = json.loads(raw)
+        try:
+            record = json.loads(raw)
+        except ValueError:
+            record = None
+        if not (isinstance(record, dict) and all(isinstance(record.get(key), str) for key in "spo")):
+            raise MalformedTokenError("expected a JSON object with string 's', 'p' and 'o'", lineno)
         statements.append(Statement(record["s"], record["p"], record["o"], lineno))
-    return TripleDocument(tuple(statements))
+    return statements
 
 
 # -- snapshots ------------------------------------------------------------------

@@ -235,12 +235,12 @@ def test_criterion_12_parser_idempotence():
         for i in range(10_000)
     ]
     canonical = "".join(line + "\n" for line in lines)
-    assert parse_triples_text(canonical).serialize() == canonical
+    assert "".join(f"{s.serialize()}\n" for s in parse_triples_text(canonical)) == canonical
 
     with pytest.raises(MalformedTokenError) as bad_token:
-        parse_triples_text("Bob kin:ParentOf person:Alice .")
+        list(parse_triples_text("Bob kin:ParentOf person:Alice ."))
     assert (bad_token.value.line, bad_token.value.column) == (1, 1)
     with pytest.raises(MissingTerminatorError) as bad_end:
-        parse_triples_text("ok:a ok:b ok:c .\nx:a y:b z:c")
+        list(parse_triples_text("ok:a ok:b ok:c .\nx:a y:b z:c"))
     assert bad_end.value.line == 2
     report(12, "10^4-line corpus parse/serialize fixed point; malformed lines located")

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, stream separation, determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import qcorolla
+from qcorolla import cli
 from qcorolla.cli import cli_dispatch
+from qcorolla.corolla import CorollaGraph
 
 
 @pytest.fixture
@@ -290,6 +293,11 @@ BAD_SOURCES = {
         1, b"kin:ParentOf <-> kin:ChildOf = 0.4\nkin:A <-> kin:B = 1.0\nkin:A <-> kin:C = 0.5\n",
         "error: line 3, column 1: predicate 'kin:A' already registered",
     ),
+    # the first fault in line order is reported: an unknown predicate before a missing '.'
+    "several faults": (
+        2, b"person:Bob kin:Foo person:Alice .\nperson:Bob kin:ParentOf person:Alice\n",
+        "error: line 1, column 12: predicate 'kin:Foo' not registered",
+    ),
     "invalid utf-8": (
         2, b"person:Bob kin:ParentOf person:Alice .\r\nperson:Bob kin:HusbandOf person:M\xffary .\r\n",
         "error: line 2, column 34: byte 0xff is not UTF-8 (invalid start byte)",
@@ -313,6 +321,34 @@ def test_bad_source_reports_line_and_column(kinship_paths, tmp_path, capsys, cas
     assert out == ""
     assert err.splitlines() == [first_line]
     assert not (tmp_path / "store").exists()
+
+
+def test_parse_fault_on_the_last_line_leaves_the_store(store_dir, kinship_paths, capsys, monkeypatch):
+    before = {path.name: path.read_bytes() for path in store_dir.iterdir()}
+    joined = []
+    join = CorollaGraph.join
+    monkeypatch.setattr(CorollaGraph, "join", lambda graph, left, right: (
+        joined.append(left.node), join(graph, left, right))[1])
+    vocab, registry, triples = kinship_paths
+    with triples.open("a", encoding="utf-8") as out:
+        out.write("person:Bob kin:ParentOf person:Alice\n")
+    code = cli_dispatch(["ingest", "--vocab", str(vocab), "--registry", str(registry),
+                         "--triples", str(triples), "--store", str(store_dir)])
+    assert (code, *capsys.readouterr()) == (1, "", "error: line 5, column 37: statement must end with '.'\n")
+    assert joined == ["person:Bob"] * 2  # the lines before the fault were joined as they were parsed
+    assert {path.name: path.read_bytes() for path in store_dir.iterdir()} == before
+
+
+def test_main_dispatches_with_the_collector_off(monkeypatch):
+    collecting = []
+    monkeypatch.setattr(sys, "argv", ["qcorolla", "--help"])
+    monkeypatch.setattr(cli, "cli_dispatch", lambda argv: collecting.append(gc.isenabled()) or 0)
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.main()
+    finally:
+        gc.enable()
+    assert (exit_.value.code, collecting) == (0, [False])
 
 
 # commands that must run without importing numpy, with the arguments after the command name

@@ -18,6 +18,7 @@ from qcorolla.errors import (
     AlreadyPairedError,
     DuplicateSymbolError,
     MalformedTokenError,
+    MissingTerminatorError,
     SnapshotError,
     UnknownNodeSymbolError,
     UnknownPredicateError,
@@ -249,6 +250,22 @@ def test_ingest_fault_leaves_the_collector_enabled(kinship_paths):
         ingest_document(load_vocabulary(vocabulary), load_registry(registry), document)
     assert (excinfo.value.line, excinfo.value.column) == (2, 25)
     assert gc.isenabled()
+
+
+
+def test_parse_fault_on_the_last_line_leaves_the_collector_enabled(kinship_paths, monkeypatch):
+    collecting = []
+    join = CorollaGraph.join
+    monkeypatch.setattr(CorollaGraph, "join", lambda graph, left, right: (
+        collecting.append(gc.isenabled()), join(graph, left, right))[1])
+    triples = kinship_paths[2]
+    with triples.open("a", encoding="utf-8") as out:
+        out.write("person:Bob kin:ParentOf person:Alice\n")
+    with pytest.raises(MissingTerminatorError) as excinfo:
+        ingest(*kinship_paths)
+    assert (excinfo.value.line, excinfo.value.column) == (5, 37)
+    # lines 1 and 3 were joined as they were parsed, with the collector paused
+    assert collecting == [False] * 2 and gc.isenabled()
 
 
 # --- save refuses what no store command can open ------------------------------------------

@@ -22,7 +22,6 @@ from qcorolla.store import (
     CorollaView,
     NodeReport,
     Statement,
-    TripleDocument,
     export_jsonl,
     ingest,
     ingest_document,
@@ -96,6 +95,11 @@ def test_parse_reports_column_of_bad_token_after_tab():
     assert excinfo.value.column == 15
 
 
+def serialize(statements):
+    """Canonical text of statements: one per line, single spaces, LF endings."""
+    return "".join(f"{s.serialize()}\n" for s in statements)
+
+
 def test_parse_serialize_idempotent_corpus():
     rng = np.random.default_rng(61)
     lines = [
@@ -104,16 +108,16 @@ def test_parse_serialize_idempotent_corpus():
         for i in range(10_000)
     ]
     canonical = "".join(line + "\n" for line in lines)
-    document = parse_triples_text(canonical)
-    assert document.serialize() == canonical
+    serialized = serialize(parse_triples_text(canonical))
+    assert serialized == canonical
     # a second pass is a fixed point
-    assert parse_triples_text(document.serialize()).serialize() == canonical
+    assert serialize(parse_triples_text(serialized)) == canonical
 
 
 def test_parse_rejects_exactly_bad_lines():
     text = "person:Bob kin:ParentOf person:Alice .\nbad line here .\n"
     with pytest.raises(MalformedTokenError) as excinfo:
-        parse_triples_text(text)
+        list(parse_triples_text(text))
     assert excinfo.value.line == 2
 
 
@@ -160,9 +164,9 @@ def test_cr_lf_and_cr_sources_load_like_lf(kinship_paths, ending):
     assert result.graph.node_vocabulary.entries == expected.graph.node_vocabulary.entries
     assert list(result.graph.registry.pairs()) == list(expected.graph.registry.pairs())
     assert result.graph.triples() == expected.graph.triples()
-    assert parse_triples_text(text.replace("\n", ending)) == parse_triples_text(text)
+    assert list(parse_triples_text(text.replace("\n", ending))) == list(parse_triples_text(text))
     with pytest.raises(MalformedTokenError) as excinfo:
-        parse_triples_text(f"a:X r:F a:Y .{ending}bad .{ending}")
+        list(parse_triples_text(f"a:X r:F a:Y .{ending}bad .{ending}"))
     assert excinfo.value.line == 2
 
 
@@ -215,7 +219,7 @@ LINE_PIECES = ["a:X", "r:F", "x", ":", ".", " ", "\t", "#", "\n", "\r", "\x0b", 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(), st.lists(st.sampled_from(LINE_PIECES), max_size=16).map("".join)))
 def test_parser_raises_only_parse_error(text):
-    for parse in (parse_triple_line, parse_triples_text):
+    for parse in (parse_triple_line, lambda t: list(parse_triples_text(t))):
         try:
             parse(text)
         except ParseError:
@@ -295,6 +299,23 @@ def test_ingest_fault_has_line_and_column(kinship_paths, fault):
     assert str(excinfo.value).startswith(f"line 3, column {column}: ")
 
 
+def test_ingest_raises_the_first_fault_in_line_order(kinship_paths):
+    vocab, registry, triples = kinship_paths
+    # an unknown predicate on line 1, a missing '.' on line 2
+    triples.write_text("person:Bob kin:Foo person:Alice .\nperson:Bob kin:ParentOf person:Alice\n", encoding="utf-8")
+    with pytest.raises(UnknownPredicateError) as excinfo:
+        ingest(vocab, registry, triples)
+    assert str(excinfo.value) == "line 1, column 12: predicate 'kin:Foo' not registered"
+
+
+def test_ingest_counts_a_one_shot_generator(kinship_paths):
+    vocab, registry, triples = kinship_paths
+    statements = parse_triples_text(triples.read_text(encoding="utf-8"))
+    result = ingest_document(load_vocabulary(vocab), load_registry(registry), statements)
+    assert (result.statements, result.folded, result.graph.edge_count) == (4, 2, 2)
+    assert next(statements, None) is None  # consumed once, to its end
+
+
 def test_statement_keeps_its_token_columns():
     canonical = parse_triple_line("a:X r:F a:Y .", lineno=2)
     spaced = parse_triple_line("  a:X\tr:F  a:Y .", lineno=2)
@@ -308,12 +329,31 @@ def test_exported_statement_fault_names_only_its_line(kinship_paths, tmp_path):
     vocab, registry, _ = kinship_paths
     path = tmp_path / "edges.jsonl"
     path.write_text(json.dumps({"s": "person:Bob", "p": "kin:Foo", "o": "person:Alice"}) + "\n")
-    document = load_jsonl(path)
-    assert document.statements[0].columns is None
+    statements = load_jsonl(path)
+    assert statements[0].columns is None
     with pytest.raises(UnknownPredicateError) as excinfo:
-        ingest_document(load_vocabulary(vocab), load_registry(registry), document)
+        ingest_document(load_vocabulary(vocab), load_registry(registry), statements)
     assert (excinfo.value.line, excinfo.value.column) == (1, None)
     assert str(excinfo.value) == "line 1: predicate 'kin:Foo' not registered"
+
+    # only LF ends a record: a raw U+2028 in a string and a CR before the LF leave it whole
+    good = json.dumps({"s": "person:Bob", "p": "kin:ParentOf", "o": "person:Alice"})
+    spaced = json.dumps({"s": "person:Bob", "p": "kin:Foo\u2028", "o": "person:Alice"}, ensure_ascii=False)
+    path.write_bytes(f"{good}\r\n{spaced}\r\n".encode("utf-8"))
+    statements = load_jsonl(path)
+    assert [statement.line for statement in statements] == [1, 2]
+    with pytest.raises(UnknownPredicateError) as excinfo:
+        ingest_document(load_vocabulary(vocab), load_registry(registry), statements)
+    assert str(excinfo.value) == "line 2: predicate 'kin:Foo\\u2028' not registered"
+
+    # a line that is not a JSON object with string s, p and o is rejected at its line
+    for bad in ('{"s": "person:Bob", "o": "person:Alice"}', '{"s": "person:Bob", "p": 1, "o": "person:Alice"}',
+                '["person:Bob", "kin:ParentOf", "person:Alice"]', '{"s": "person:Bob"', f"{good}\r{good}"):
+        path.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
+        with pytest.raises(MalformedTokenError) as excinfo:
+            load_jsonl(path)
+        assert (excinfo.value.line, excinfo.value.column) == (3, None), bad
+        assert str(excinfo.value).startswith("line 3: "), bad
 
 
 def test_ingest_every_statement_yields_one_edge():
@@ -323,7 +363,7 @@ def test_ingest_every_statement_yields_one_edge():
     statements = tuple(
         Statement(f"n:X{i}", "r:F", f"n:X{(i + 1) % 20}", i + 1) for i in range(20)
     )
-    result = ingest_document(voc, registry, TripleDocument(statements))
+    result = ingest_document(voc, registry, statements)
     assert result.graph.edge_count == 20
     assert result.graph.half_edge_count == 40
     assert result.graph.validate().is_valid
@@ -487,7 +527,7 @@ def test_export_kinship_corpus(kinship_paths, tmp_path):
 
 def test_export_empty_graph(tmp_path):
     voc = vocabulary_from_symbols(["n:X"])
-    graph = ingest_document(voc, ConverseRegistry(), TripleDocument(())).graph
+    graph = ingest_document(voc, ConverseRegistry(), ()).graph
     out = tmp_path / "edges.jsonl"
     assert export_jsonl(graph, out) == 0
     assert out.read_text() == ""
@@ -499,11 +539,11 @@ def test_export_reingest_roundtrip_byte_identical(kinship_paths, tmp_path):
     first = tmp_path / "first.jsonl"
     export_jsonl(graph, first)
 
-    document = load_jsonl(first)
+    statements = load_jsonl(first)
     from qcorolla.qusym import load_vocabulary
     from qcorolla.corolla import load_registry
 
-    result = ingest_document(load_vocabulary(vocab), load_registry(registry), document)
+    result = ingest_document(load_vocabulary(vocab), load_registry(registry), statements)
     second = tmp_path / "second.jsonl"
     export_jsonl(result.graph, second)
     assert first.read_bytes() == second.read_bytes()
