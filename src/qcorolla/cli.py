@@ -5,10 +5,11 @@ diagnostics go to stderr; machine-readable data goes to stdout. The only
 entropy source is the ``--seed`` flag, so identical invocations produce
 identical output.
 
-Each handler imports only the layers its command runs. Only ``measure``
-and ``round`` load numpy; the store commands, the closed-form ``entangle``
-and ``entropy``, and ``bind``, whose XOR and tensor fold are integer
-operations, start without it. Every store command opens
+Each handler imports only the layers its command runs: the module itself
+loads none, so ``bind`` loads only ``vsa`` and ``round`` no ``store``. Only
+``measure`` and ``round`` load numpy; the store commands, the closed-form
+``entangle`` and ``entropy``, and ``bind``, whose XOR and tensor fold are
+integer operations, start without it. Every store command opens
 the snapshot through ``store.open_snapshot``; only ``validate``, ``query``
 and ``export`` build the graph, while ``entangle``, ``measure`` and
 ``entropy --triple`` read one line of it and ``entropy --node-vocab`` only d.
@@ -21,7 +22,6 @@ import gc
 import json
 import sys
 
-from . import qusym, store
 from .errors import QcorollaError
 
 
@@ -102,6 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args) -> int:
+    from . import store
+
     result = store.ingest(args.vocab, args.registry, args.triples)
     report = result.graph.validate()
     if not report.is_valid:
@@ -121,6 +123,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import store
+
     graph = store.load_snapshot(args.store)
     report = graph.validate()
     for line in report.lines():
@@ -132,6 +136,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from . import store
+
     graph = store.load_snapshot(args.store)
     for line in store.query_node(graph, args.node).lines():
         print(line)
@@ -141,7 +147,7 @@ def _cmd_query(args) -> int:
 def _triple_state(args, basis_choice=None):
     """The triple named on the command line and its joint state, read
     straight from the snapshot's files."""
-    from . import entangle
+    from . import entangle, store
 
     triple = store.read_triple(args.store, args.triple)
     joint = entangle.triple_joint_state(
@@ -185,6 +191,8 @@ def _cmd_entropy(args) -> int:
         _, joint = _triple_state(args)
         value = entangle.measure_entanglement(joint, base=args.base)
     else:
+        from . import qusym, store
+
         value = qusym.uniform_entropy(store.open_snapshot(args.store).d, base=args.base)
     print(f"{value:.6f}")
     return 0
@@ -209,6 +217,8 @@ def _cmd_bind(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from . import store
+
     graph = store.load_snapshot(args.store)
     count = store.export_jsonl(graph, args.jsonl)
     print(f"exported {count} statements to {args.jsonl}")
@@ -216,7 +226,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_round(args) -> int:
-    from . import entangle
+    from . import entangle, qusym
 
     voc = qusym.load_vocabulary(args.vocab)
     symbol, fidelity = entangle.tessellate_round(args.vector, voc)

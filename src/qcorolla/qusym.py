@@ -42,13 +42,14 @@ def _split_lines(text: str) -> list[str]:
 
 
 def read_source(path: str | Path) -> str:
-    """The text of a UTF-8 source file, without a leading byte-order mark.
+    """The text of a UTF-8 source file, without a leading byte-order mark and
+    with its line ends as written.
 
     Bytes that are not UTF-8 raise ``SourceEncodingError`` at the line and
     column of the first one.
     """
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # exc.object is the file after its byte-order mark, valid UTF-8 up to exc.start
         lines = _split_lines(exc.object[: exc.start].decode("utf-8"))
@@ -70,6 +71,8 @@ def source_lines(text: str) -> Iterator[Tuple[int, str]]:
 
 
 def _check_symbol(symbol: str) -> str:
+    if not isinstance(symbol, str):
+        raise ValueError(f"symbols must be str, got {symbol!r}")
     if not symbol:
         raise ValueError("symbols must be non-empty")
     if symbol.split() != [symbol]:
@@ -127,6 +130,27 @@ class Vocabulary:
     def serialize(self) -> str:
         """Canonical text: one entry per line in basis order, LF endings."""
         return "".join(f"{s}\n" for s in self.entries)
+
+
+def checked_vocabulary(
+    entries: Sequence[str] | Vocabulary, where: Callable[[int], Tuple[int, int]] = lambda k: (k + 1, 1)
+) -> Vocabulary:
+    """The vocabulary of a file's entries. The first entry, in line order, that is not a
+    namespaced token or that repeats an earlier one raises at ``where(k)``, the (line, column)
+    of entry k: by default line k + 1, column 1, as in a canonical file. A ``Vocabulary``
+    whose entries are all tokens is returned as it is."""
+    if all(map(TOKEN_PATTERN.fullmatch, entries)):  # C-level checks; the loop below only names a fault
+        try:
+            return entries if isinstance(entries, Vocabulary) else Vocabulary(tuple(entries))
+        except DuplicateSymbolError:
+            pass
+    first = {}  # entry -> its first position
+    for k, entry in enumerate(entries):
+        if not TOKEN_PATTERN.fullmatch(entry):
+            raise MalformedTokenError(f"vocabulary entry {entry!r} is not a namespaced symbol", *where(k))
+        if first.setdefault(entry, k) != k:
+            raise DuplicateSymbolError(f"duplicate symbol {entry!r}", *where(k))
+    return Vocabulary(tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -298,21 +322,13 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     spaces and tabs around a symbol are dropped.
 
     Symbol lines are numbered consecutively (comments and blanks skipped),
-    and that position is the basis index. Every symbol must be a namespaced
-    token, the only form a triple can name; anything else raises
-    ``MalformedTokenError`` with its line and column in the file.
+    and that position is the basis index. ``checked_vocabulary`` rejects the
+    first entry, in line order, that is not a namespaced token, the only form
+    a triple can name, or that repeats an earlier one, at its line and column.
     """
-    symbols = {}  # insertion-ordered set of the entries read so far
-    for lineno, raw in source_lines(read_source(path)):
-        line = raw.strip(SEPARATORS)
-        if not TOKEN_PATTERN.fullmatch(line):
-            raise MalformedTokenError(
-                f"vocabulary entry {line!r} is not a namespaced symbol", lineno, raw.find(line) + 1
-            )
-        if line in symbols:
-            raise DuplicateSymbolError(f"duplicate symbol {line!r}", lineno, raw.find(line) + 1)
-        symbols[line] = None
-    return vocabulary_from_symbols(symbols)
+    lines = list(source_lines(read_source(path)))
+    entries = [raw.strip(SEPARATORS) for _, raw in lines]
+    return checked_vocabulary(entries, lambda k: (lines[k][0], lines[k][1].find(entries[k]) + 1))
 
 
 def save_vocabulary(voc: Vocabulary, path: str | Path) -> None:

@@ -43,7 +43,6 @@ from .corolla import (
 from .errors import (
     AlreadyPairedError,
     BackwardPredicateInSubjectPositionError,
-    DuplicateSymbolError,
     MalformedTokenError,
     MissingTerminatorError,
     QcorollaError,
@@ -55,6 +54,7 @@ from .qusym import (
     SEPARATORS,
     TOKEN_PATTERN,
     Vocabulary,
+    checked_vocabulary,
     load_vocabulary,
     read_source,
     source_lines,
@@ -303,11 +303,11 @@ def export_jsonl(graph: CorollaGraph, path: str | Path) -> int:
 
 
 def load_jsonl(path: str | Path) -> List[Statement]:
-    """Read an export back into its forward statements. Only LF ends a record (a CR before
-    it is JSON whitespace); a line that is not a JSON object with string ``s``, ``p`` and
-    ``o`` raises ``MalformedTokenError`` at its line."""
+    """Read an export back into its forward statements, through ``read_source`` as a source file
+    is, but only LF ends a record (a CR before it is JSON whitespace); a line that is not a JSON
+    object with string ``s``, ``p`` and ``o`` raises ``MalformedTokenError`` at its line."""
     statements = []
-    for lineno, raw in enumerate(Path(path).read_bytes().decode("utf-8").split("\n"), start=1):
+    for lineno, raw in enumerate(read_source(path).split("\n"), start=1):
         if not raw.strip():
             continue
         try:
@@ -366,10 +366,11 @@ def save_snapshot(graph: CorollaGraph, directory: str | Path) -> None:
     version by a rename, ``snapshot.json`` last, so a save cut short leaves
     files that fail their check. Saving the result of ``load_snapshot`` is
     byte-identical. A name ``load_snapshot`` would refuse, not a namespaced
-    token, raises ``MalformedTokenError`` before any file is replaced.
+    token, raises ``MalformedTokenError`` before any file is replaced; a
+    vocabulary entry is named by ``checked_vocabulary``, as on load.
     """
+    checked_vocabulary(graph.node_vocabulary)
     vocabulary, registry = graph.node_vocabulary.serialize(), graph.registry.serialize()
-    _symbols(vocabulary)
     parse_registry(registry)
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
@@ -431,29 +432,15 @@ def open_snapshot(directory: str | Path) -> Snapshot:
     return Snapshot(d, edges, vocabulary, registry, triples)
 
 
-def _symbols(text: str) -> List[str]:
-    """The entries of a snapshot's vocabulary text, one per line; each must be a namespaced symbol."""
-    entries = text.split("\n")
-    entries.pop()  # the empty string after the last LF
-    if not all(map(TOKEN_PATTERN.fullmatch, entries)):
-        k = next(k for k, entry in enumerate(entries) if not TOKEN_PATTERN.fullmatch(entry))
-        raise MalformedTokenError(f"vocabulary entry {entries[k]!r} is not a namespaced symbol", k + 1, 1)
-    return entries
-
-
 def load_snapshot(directory: str | Path) -> CorollaGraph:
     """Rebuild a graph from a snapshot directory, equal to re-ingesting its triples:
     each checked line ``s p o .`` (line K is ``tK``) joins its corollas through
     ``make_corolla`` and ``join`` with the vocabulary's and registry's own strings.
-    A bad or repeated line, or a repeated vocabulary entry, raises with its line and column."""
+    A bad or repeated line, or vocabulary entry (``checked_vocabulary``), raises at its line."""
     _, _, vocabulary, registry, triples = open_snapshot(directory)
-    entries = _symbols(vocabulary)
-    try:
-        graph = CorollaGraph(Vocabulary(tuple(entries)), parse_registry(registry))
-    except DuplicateSymbolError as exc:
-        first = {}  # the line of each entry's first occurrence
-        k = next(k for k, entry in enumerate(entries, 1) if first.setdefault(entry, k) != k)
-        raise DuplicateSymbolError(str(exc), k, 1) from None
+    entries = vocabulary.split("\n")
+    entries.pop()  # the empty string after the last LF
+    graph = CorollaGraph(checked_vocabulary(entries), parse_registry(registry))
     symbols = dict(zip(entries, entries))
     forward = {name: (name, converse) for name, converse, _ in graph.registry.pairs()}
     make_corolla, join = graph.make_corolla, graph.join

@@ -391,6 +391,51 @@ def test_command_runs_without_numpy(store_dir, kinship_paths, tmp_path, command)
     assert done.stderr.splitlines()[-1] == "numpy not loaded"
 
 
+# commands with their arguments, and the layers each must not load because it does not run them
+UNLOADED = {
+    "bind --xor": (["deadbeef", "cafebabe"], {"qcorolla.store", "qcorolla.corolla", "qcorolla.qusym"}),
+    "bind --tensor": (["deadbeef", "cafebabe"], {"qcorolla.store", "qcorolla.corolla", "qcorolla.qusym"}),
+    "round": (["--vector", "0.9,0.1,0.05", "--vocab", "{vocab}"], {"qcorolla.store"}),
+}
+
+_LAYER_PROBE = """import sys
+from qcorolla.cli import cli_dispatch
+code = cli_dispatch(sys.argv[1:])
+print(*sorted(name for name in sys.modules if name.startswith("qcorolla.")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", sorted(UNLOADED))
+def test_command_loads_only_the_layers_it_runs(kinship_paths, command):
+    args, unloaded = UNLOADED[command]
+    argv = [*command.split(), *(a.format(vocab=kinship_paths[0]) for a in args)]
+    src = str(Path(qcorolla.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _LAYER_PROBE, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stderr.split())
+    assert "qcorolla.cli" in loaded and not loaded & unloaded, loaded
+
+
+def test_validate_warns_of_each_inert_edge_in_line_order(kinship_paths, tmp_path, capsys):
+    vocab, registry, triples = kinship_paths
+    registry.write_text("kin:ParentOf <-> kin:ChildOf = 0\nkin:HusbandOf <-> kin:WifeOf = 1.0\n", encoding="utf-8")
+    triples.write_text("person:Mary kin:ParentOf person:Alice .\nperson:Bob kin:ParentOf person:Alice .\n"
+                       "person:Bob kin:HusbandOf person:Mary .\n", encoding="utf-8")
+    store = str(tmp_path / "store")
+    assert cli_dispatch(["ingest", "--vocab", str(vocab), "--registry", str(registry),
+                         "--triples", str(triples), "--store", store]) == 0
+    capsys.readouterr()
+    # line order: t1 Bob HusbandOf Mary, t2 Bob ParentOf Alice, t3 Mary ParentOf Alice
+    assert cli_dispatch(["validate", "--store", store]) == 0
+    assert capsys.readouterr() == (
+        "graph valid: 3 nodes, 3 edges\n",
+        "warning: edge t2 is semantically inert (weight 0)\nwarning: edge t3 is semantically inert (weight 0)\n",
+    )
+
+
 NON_FINITE = {
     "node-vocab base nan": ["entropy", "--node-vocab", "--base", "nan"],
     "node-vocab base inf": ["entropy", "--node-vocab", "--base", "inf"],

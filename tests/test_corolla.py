@@ -225,6 +225,21 @@ def test_join_already_paired_half_edge():
         graph.join(left, graph.make_corolla("person:Mary", "kin:ChildOf"))
 
 
+def test_join_rejects_a_corolla_of_another_graph():
+    graph, other = fresh_graph(), fresh_graph()
+    left = graph.make_corolla("person:Bob", "kin:ParentOf")
+    right = graph.make_corolla("person:Alice", "kin:ChildOf")
+    other.make_corolla("person:Bob", "kin:ParentOf")
+    lookalike = other.make_corolla("person:Alice", "kin:ChildOf")  # id 2, as right's is
+    beyond = other.make_corolla("person:Mary", "kin:ChildOf")  # id 3, past graph's last half-edge
+    assert lookalike == right
+    for foreign in (lookalike, beyond):
+        with pytest.raises(UnknownNodeError):
+            graph.join(left, foreign)
+    assert graph.edge_count == 0 and graph.involution() == {}
+    assert graph.join(left, right) == "t1"
+
+
 def test_join_duplicate_triple_with_fresh_corollas():
     graph = fresh_graph()
     graph.join(

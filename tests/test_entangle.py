@@ -11,6 +11,7 @@ from qcorolla.corolla import ConverseRegistry, CorollaGraph
 from qcorolla.entangle import (
     BELL_LABELS,
     DEFAULT_PATTERN_TAGS,
+    ENTROPY_TOL,
     JointState,
     bell_fidelity,
     bell_states,
@@ -22,6 +23,7 @@ from qcorolla.entangle import (
     measure_entanglement,
     synthesize_joint_state,
     tessellate_round,
+    triple_joint_state,
 )
 from qcorolla.errors import (
     DegenerateBasisError,
@@ -176,6 +178,15 @@ def test_synthesize_degenerate_basis_rejected():
     graph, ids = weighted_graph([0.5])
     with pytest.raises(DegenerateBasisError):
         synthesize_joint_state(graph, ids[0], basis_choice=(0, 0, 0, 1))
+
+
+def test_self_loop_falls_back_to_the_first_two_basis_states():
+    joint = triple_joint_state(3, 2, 2, 0.4)  # subject and object are basis state 2
+    assert joint.basis == (0, 1, 0, 1)
+    assert joint.target_entropy == 0.4
+    assert abs(measure_entanglement(joint) - 0.4) <= ENTROPY_TOL
+    with pytest.raises(DegenerateBasisError):
+        triple_joint_state(1, 0, 0, 0.4)
 
 
 def test_synthesize_basis_out_of_range():

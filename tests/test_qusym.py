@@ -18,6 +18,7 @@ from qcorolla.qla import von_neumann_entropy
 from qcorolla.qusym import (
     Grammar,
     Vocabulary,
+    checked_vocabulary,
     load_vocabulary,
     qusym_ensemble,
     save_vocabulary,
@@ -57,6 +58,14 @@ def test_empty_vocabulary_rejected():
 def test_whitespace_symbol_rejected():
     with pytest.raises(ValueError):
         vocabulary_from_symbols(["a b"])
+
+
+@pytest.mark.parametrize("entry", [b"b", 5, None], ids=repr)
+def test_symbol_that_is_not_a_str_rejected(entry):
+    for make in (Vocabulary, lambda symbols: Grammar(frozenset(symbols))):
+        with pytest.raises(ValueError) as caught:
+            make(("a", entry))
+        assert str(caught.value) == f"symbols must be str, got {entry!r}"
 
 
 def first_vocabulary_fault(entries):
@@ -280,3 +289,29 @@ def test_load_vocabulary_reports_file_line_after_comments(tmp_path):
     with pytest.raises(MalformedTokenError) as info:
         load_vocabulary(path)
     assert (info.value.line, info.value.column) == (5, 3)
+
+
+@given(st.lists(st.sampled_from(["a:A", "a:B", "b:C", "A", "a:A b", ""]), min_size=1, max_size=6))
+def test_checked_vocabulary_names_the_first_fault_in_line_order(entries):
+    seen, fault = set(), None  # oracle: entry by entry, (error type, index) of the first fault
+    for k, entry in enumerate(entries):
+        if entry not in ("a:A", "a:B", "b:C"):
+            fault = MalformedTokenError, k, f"vocabulary entry {entry!r} is not a namespaced symbol"
+        elif entry in seen:
+            fault = DuplicateSymbolError, k, f"duplicate symbol {entry!r}"
+        if fault:
+            break
+        seen.add(entry)
+
+    def where(k):  # any map from an entry to its place
+        return 2 * k + 1, k + 3
+
+    if fault is None:
+        voc = checked_vocabulary(entries, where)
+        assert voc.entries == tuple(entries)
+        assert checked_vocabulary(voc) is voc
+        return
+    error, k, message = fault
+    with pytest.raises(error) as caught:
+        checked_vocabulary(entries, where)
+    assert type(caught.value) is error and str(caught.value) == f"line {2 * k + 1}, column {k + 3}: {message}"

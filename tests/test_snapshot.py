@@ -180,6 +180,47 @@ def test_bulk_load_names_the_line_of_a_repeated_vocabulary_entry(tmp_path, capsy
         assert capsys.readouterr() == ("", "error: line 3, column 1: duplicate symbol 'person:Bob'\n")
 
 
+# vocabularies with a fault, as a source file and as a snapshot's vocabulary.txt of d = 3:
+# (text, error, message, line); every entry starts at column 1, so both readers name the same place
+VOCABULARY_FAULTS = {
+    "bad token": ("person:Bob\nAlice\nperson:Mary\n", MalformedTokenError,
+                  "vocabulary entry 'Alice' is not a namespaced symbol", 2),
+    "repeat": ("person:Bob\nperson:Alice\nperson:Bob\n", DuplicateSymbolError,
+               "duplicate symbol 'person:Bob'", 3),
+    "repeat before a bad token": ("person:Bob\nperson:Bob\nAlice\n", DuplicateSymbolError,
+                                  "duplicate symbol 'person:Bob'", 2),
+    "bad token before a repeat": ("Alice\nperson:Bob\nperson:Bob\n", MalformedTokenError,
+                                  "vocabulary entry 'Alice' is not a namespaced symbol", 1),
+    "fault on the last line": ("person:Bob\nperson:Alice\nperson:Mary\tx\n", MalformedTokenError,
+                               "vocabulary entry 'person:Mary\\tx' is not a namespaced symbol", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VOCABULARY_FAULTS))
+def test_a_vocabulary_fault_has_one_diagnosis_in_a_source_file_and_a_snapshot(kinship_paths, tmp_path, capsys, case):
+    text, error, message, line = VOCABULARY_FAULTS[case]
+    expected = f"line {line}, column 1: {message}"
+    vocab, registry, triples = kinship_paths
+    vocab.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as from_file:
+        load_vocabulary(vocab)
+    store = tmp_path / "store"
+    save_snapshot(build_kinship_graph(), store)
+    rewrite_with_crc(store, "vocabulary.txt", text)
+    with pytest.raises(error) as from_snapshot:
+        load_snapshot(store)
+    for caught in (from_file, from_snapshot):
+        assert type(caught.value) is error and str(caught.value) == expected
+        assert (caught.value.line, caught.value.column) == (line, 1)
+    ingest_argv = ["ingest", "--vocab", str(vocab), "--registry", str(registry), "--triples", str(triples)]
+    for argv in (ingest_argv + ["--store", str(tmp_path / "fresh")], ["validate", "--store", str(store)],
+                 ["query", "person:Bob", "--store", str(store)],
+                 ["export", "--jsonl", str(tmp_path / "out.jsonl"), "--store", str(store)]):
+        assert cli_dispatch(argv) == 1, argv
+        assert capsys.readouterr() == ("", f"error: {expected}\n"), argv
+    assert not (tmp_path / "fresh").exists() and not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize("case", sorted(CANONICAL_FAULTS))
 def test_one_line_commands_reject_a_bad_line_as_validate_does(tmp_path, capsys, case):
     text, _, line, column = CANONICAL_FAULTS[case]

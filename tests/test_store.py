@@ -15,6 +15,7 @@ from qcorolla.errors import (
     MalformedTokenError,
     MissingTerminatorError,
     ParseError,
+    SourceEncodingError,
     UnknownNodeSymbolError,
     UnknownPredicateError,
 )
@@ -354,6 +355,17 @@ def test_exported_statement_fault_names_only_its_line(kinship_paths, tmp_path):
             load_jsonl(path)
         assert (excinfo.value.line, excinfo.value.column) == (3, None), bad
         assert str(excinfo.value).startswith("line 3: "), bad
+
+
+def test_export_is_read_as_every_source_file_is(tmp_path):
+    good = json.dumps({"s": "person:Bob", "p": "kin:ParentOf", "o": "person:Alice"})
+    path = tmp_path / "edges.jsonl"
+    path.write_bytes(f"{good}\n".encode("utf-8") + b'{"s": "person:B\xffob", "p": "kin:ParentOf", "o": "person:Alice"}\n')
+    with pytest.raises(SourceEncodingError) as excinfo:
+        load_jsonl(path)
+    assert str(excinfo.value) == "line 2, column 16: byte 0xff is not UTF-8 (invalid start byte)"
+    path.write_bytes(b"\xef\xbb\xbf" + f"{good}\n{good}\n".encode("utf-8"))  # an export behind a byte-order mark
+    assert load_jsonl(path) == [Statement("person:Bob", "kin:ParentOf", "person:Alice", k) for k in (1, 2)]
 
 
 def test_ingest_every_statement_yields_one_edge():
