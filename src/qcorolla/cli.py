@@ -6,10 +6,10 @@ entropy source is the ``--seed`` flag, so identical invocations produce
 identical output.
 
 Each handler imports only the layers its command runs: the module itself
-loads none, so ``bind`` loads only ``vsa`` and ``round`` no ``store``. Only
-``measure`` and ``round`` load numpy; the store commands, the closed-form
-``entangle`` and ``entropy``, and ``bind``, whose XOR and tensor fold are
-integer operations, start without it. Every store command opens
+loads none, so ``bind`` loads only ``vsa`` and ``round`` no ``store``. No
+command loads numpy: ``bind``'s XOR and tensor fold are integer operations,
+``measure`` samples through ``pcg64``, a plain-Python port of numpy's
+seeded binomial stream, and ``round`` normalizes in plain Python. Every store command opens
 the snapshot through ``store.open_snapshot``; only ``validate``, ``query``
 and ``export`` build the graph, while ``entangle``, ``measure`` and
 ``entropy --triple`` read one line of it and ``entropy --node-vocab`` only d.

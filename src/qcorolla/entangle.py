@@ -10,10 +10,13 @@ Also here: the four Bell states, the configurable triple-metapattern to
 Bell-state assignment, seeded projective measurement sampling, and the
 tessellated rounding of noisy vectors onto a vocabulary basis.
 
-All randomness flows through ``numpy.random.default_rng(seed)`` (PCG64),
-seeded per call; there is no global generator state. The closed-form
-layer (synthesis and entropy) is plain Python: numpy and ``qla`` are
-imported only by the functions that build or sample dense vectors.
+Every draw comes from a generator seeded per call with the caller's seed;
+there is no global generator state. A ``JointState`` is sampled by
+``pcg64.multinomial``, a plain-Python port of numpy's PCG64 binomial
+stream, so its counts equal those of ``numpy.random.default_rng(seed)``
+on the dense state. Synthesis, entropy, joint-state sampling and rounding
+are plain Python: numpy and ``qla`` are imported only by the functions that
+build or sample dense vectors.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import (
     DimensionMismatchError,
     UnknownPatternError,
     WeightOutOfRangeError,
+    ZeroVectorError,
 )
 from .qusym import Vocabulary, log_of_base
 
@@ -39,7 +43,7 @@ if TYPE_CHECKING:
 
 ENTROPY_TOL = 1e-12
 
-# the largest sample count numpy's multinomial sampler accepts (int64)
+# the largest sample count numpy's sampler and its port in pcg64 accept (int64)
 MAX_SHOTS = 2**63 - 1
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
@@ -253,20 +257,25 @@ def measure(state: StateVector | JointState, shots: int, seed: int) -> Measureme
     """Sample ``shots`` independent outcomes with probabilities |a_i|².
 
     A ``JointState`` is sampled from its two Schmidt terms, outcomes being
-    flat indices ``i·d_R + j``; the counts equal those of its dense
-    ``state`` for the same seed. Identical seeds give identical records.
-    Only outcomes that occurred appear in ``counts``.
+    flat indices ``i·d_R + j``, without numpy: its counts equal those
+    numpy's multinomial draws from its dense ``state`` for the same seed.
+    Identical seeds give identical records. Only outcomes that occurred
+    appear in ``counts``. A negative seed raises ``ValueError``.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
+    if isinstance(state, JointState):
+        from .pcg64 import multinomial
+
+        (first, a), (second, b) = state.support()
+        # the probabilities normalized as numpy normalizes them on the dense path
+        hits = multinomial(seed, shots, a * a / (a * a + b * b))
+        counts = {outcome: n for outcome, n in zip((first, second), hits) if n}
+        return MeasurementRecord(shots=shots, counts=counts, seed=seed)
     import numpy as np
 
-    if isinstance(state, JointState):
-        outcomes, amplitudes = zip(*state.support())
-        probs = np.square(amplitudes)
-    else:
-        probs = state.probabilities()
-        outcomes = range(probs.size)
+    probs = state.probabilities()
+    outcomes = range(probs.size)
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
@@ -280,19 +289,26 @@ def tessellate_round(
     """Round a noisy (possibly unnormalized) vector onto the vocabulary basis.
 
     Returns the symbol whose basis state maximizes the fidelity |⟨i|ψ⟩|²
-    together with that fidelity; ties break to the lowest index. ``qla.make_state``
-    normalizes the vector and rejects a zero vector or a NaN or infinite amplitude.
+    together with that fidelity; ties break to the lowest index. It
+    normalizes as ``qla.make_state`` does, in plain Python, and rejects a
+    zero vector or a NaN or infinite amplitude with the same errors.
     """
-    import numpy as np
-
-    from .qla import make_state
-
-    amps = np.asarray(noisy, dtype=complex)
-    if amps.ndim != 1 or amps.size != voc.d:
-        raise DimensionMismatchError(f"vector length {amps.size} != vocabulary size {voc.d}")
-    overlaps = make_state(amps).probabilities()
-    index = int(np.argmax(overlaps))  # argmax returns the first maximum
-    return voc.symbol(index), float(overlaps[index])
+    amps = [complex(a) for a in noisy]
+    if len(amps) != voc.d:
+        raise DimensionMismatchError(f"vector length {len(amps)} != vocabulary size {voc.d}")
+    parts = [x for a in amps for x in (a.real, a.imag)]
+    if not all(map(math.isfinite, parts)):
+        raise ValueError("amplitudes must be finite numbers")
+    # scaling by the largest part first keeps every finite norm finite and nonzero
+    scale = max(map(abs, parts))
+    if scale == 0.0:
+        raise ZeroVectorError("cannot normalize the zero vector")
+    parts = [x / scale for x in parts]
+    # numpy divides a complex array by its norm as a multiplication by 1/norm; so does this
+    inverse = 1.0 / math.hypot(*parts)
+    overlaps = [abs(complex(re * inverse, im * inverse)) ** 2 for re, im in zip(parts[::2], parts[1::2])]
+    index = overlaps.index(max(overlaps))  # the first maximum
+    return voc.symbol(index), overlaps[index]
 
 
 def bell_fidelity(a: BellState, b: BellState) -> float:

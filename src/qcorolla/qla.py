@@ -151,7 +151,8 @@ def make_state(amplitudes: Sequence[complex] | np.ndarray) -> StateVector:
     scale = max(float(np.max(np.abs(amps.real))), float(np.max(np.abs(amps.imag))))
     if scale == 0.0:
         raise ZeroVectorError("cannot normalize the zero vector")
-    amps = amps / scale
+    # part by part: a complex division multiplies by 1/scale, which is inf for a subnormal scale
+    amps = amps.real / scale + 1j * (amps.imag / scale)
     return StateVector(amps / np.linalg.norm(amps))
 
 

@@ -41,18 +41,18 @@ def _split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def read_source(path: str | Path) -> str:
+def read_source(path: str | Path, split_lines: Callable[[str], list] = _split_lines) -> str:
     """The text of a UTF-8 source file, without a leading byte-order mark and
     with its line ends as written.
 
     Bytes that are not UTF-8 raise ``SourceEncodingError`` at the line and
-    column of the first one.
+    column of the first one, counting the lines that ``split_lines`` splits.
     """
     try:
         return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # exc.object is the file after its byte-order mark, valid UTF-8 up to exc.start
-        lines = _split_lines(exc.object[: exc.start].decode("utf-8"))
+        lines = split_lines(exc.object[: exc.start].decode("utf-8"))
         raise SourceEncodingError(
             f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})",
             len(lines),

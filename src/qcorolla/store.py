@@ -307,7 +307,8 @@ def load_jsonl(path: str | Path) -> List[Statement]:
     is, but only LF ends a record (a CR before it is JSON whitespace); a line that is not a JSON
     object with string ``s``, ``p`` and ``o`` raises ``MalformedTokenError`` at its line."""
     statements = []
-    for lineno, raw in enumerate(read_source(path).split("\n"), start=1):
+    text = read_source(path, lambda text: text.split("\n"))  # a byte that is not UTF-8 is located by record
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
         try:

@@ -36,6 +36,7 @@ EXTREME_AMPLITUDES = {
     "1e300 and 2e300": ([1e300, 2e300, 0], [0.2, 0.8, 0.0]),
     "1e308 twice": ([1e308, 0, 1e308], [0.5, 0.0, 0.5]),
     "complex parts near 1.5e308": ([1.5e308 + 1.5e308j, 0, 1.5e308j], [2 / 3, 0.0, 1 / 3]),
+    "subnormal parts": ([5e-324, 1e-323j, 0], [0.2, 0.8, 0.0]),
 }
 
 

@@ -362,10 +362,16 @@ NUMPY_FREE = {
     "entropy --node-vocab": [],
     "bind --xor": ["deadbeef", "cafebabe"],
     "bind --tensor": ["deadbeef", "cafebabe"],
+    "measure": ["t1", "--shots", "1000", "--seed", "0"],
     "measure --shots 0": ["t1"],
+    "measure --seed -1": ["t1"],
+    "round": ["--vector", "0.9,0.1,0.05", "--vocab", "{vocab}"],
 }
-# commands of NUMPY_FREE that are rejected, before anything loads numpy
-NUMPY_FREE_EXIT_1 = {"measure --shots 0"}
+# commands of NUMPY_FREE that are rejected, with the diagnosis each prints
+NUMPY_FREE_EXIT_1 = {
+    "measure --shots 0": f"error: shots must lie in [1, {2**63 - 1}], got 0",
+    "measure --seed -1": "error: expected non-negative integer",
+}
 
 _PROBE = """import sys
 from qcorolla.cli import cli_dispatch
@@ -381,14 +387,17 @@ def test_command_runs_without_numpy(store_dir, kinship_paths, tmp_path, command)
     places = {"tmp": tmp_path, "vocab": vocab, "registry": registry, "triples": triples}
     store = tmp_path / "fresh" if command == "ingest" else store_dir
     argv = [*command.split(), *(a.format(**places) for a in NUMPY_FREE[command])]
-    if not command.startswith("bind"):
+    if not command.startswith(("bind", "round")):
         argv += ["--store", str(store)]
     src = str(Path(qcorolla.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == (1 if command in NUMPY_FREE_EXIT_1 else 0), done.stderr
-    assert done.stderr.splitlines()[-1] == "numpy not loaded"
+    *diagnostics, probe = done.stderr.splitlines()
+    assert probe == "numpy not loaded"
+    if command in NUMPY_FREE_EXIT_1:
+        assert diagnostics == [NUMPY_FREE_EXIT_1[command]]
 
 
 # commands with their arguments, and the layers each must not load because it does not run them

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import EXTREME_AMPLITUDES, build_kinship_graph
 from qcorolla.corolla import ConverseRegistry, CorollaGraph
@@ -409,7 +411,7 @@ def test_round_tie_breaks_to_lowest_index():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
 def test_round_rejects_a_non_finite_amplitude(bad):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^amplitudes must be finite numbers$"):
         tessellate_round([bad, 0, 0], VOC3)
 
 
@@ -426,13 +428,14 @@ def test_round_is_idempotent():
 
 
 def test_round_rejects_zero_vector():
-    with pytest.raises(ZeroVectorError):
-        tessellate_round([0, 0, 0], VOC3)
+    with pytest.raises(ZeroVectorError, match="^cannot normalize the zero vector$"):
+        tessellate_round([0, 0j, -0.0], VOC3)
 
 
 def test_round_rejects_wrong_length():
-    with pytest.raises(DimensionMismatchError):
-        tessellate_round([1, 0], VOC3)
+    for vector in ([1, 0], [1, 0, 0, 0]):
+        with pytest.raises(DimensionMismatchError, match=rf"^vector length {len(vector)} != vocabulary size 3$"):
+            tessellate_round(vector, VOC3)
 
 
 @pytest.mark.parametrize("case", sorted(EXTREME_AMPLITUDES))
@@ -442,6 +445,27 @@ def test_round_normalizes_without_overflow_or_underflow(case):
     symbol, fid = tessellate_round(amplitudes, VOC3)
     assert symbol == VOC3.symbol(k)
     assert fid == pytest.approx(probabilities[k], abs=1e-12)
+
+
+finite_parts = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, 1.0, -1.0, 5e-324]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.builds(complex, finite_parts, finite_parts), min_size=1, max_size=8))
+@example([7153540749557368j, 89636249 + 7153540749557368j])  # fidelities within an ulp: numpy ties them
+def test_round_matches_the_dense_oracle(amplitudes):
+    voc = vocabulary_from_symbols([f"sym:S{i}" for i in range(len(amplitudes))])
+    if not any(amplitudes):
+        with pytest.raises(ZeroVectorError, match="^cannot normalize the zero vector$"):
+            tessellate_round(amplitudes, voc)
+        return
+    overlaps = make_state(amplitudes).probabilities()
+    k = int(np.argmax(overlaps))  # the first maximum
+    symbol, fid = tessellate_round(amplitudes, voc)
+    assert abs(fid - overlaps[k]) <= 1e-12
+    # the same symbol, unless two fidelities lie within rounding of each other, where numpy's own
+    # complex abs (not libm's hypot) decides which is larger
+    assert symbol == voc.symbol(k) or overlaps[k] - overlaps[voc.index(symbol)] <= 4 * math.ulp(overlaps[k])
 
 
 def test_round_unnormalized_input_normalized():

@@ -1,0 +1,63 @@
+"""The plain-Python PCG64 binomial port against numpy's own generator."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qcorolla import pcg64
+from qcorolla.entangle import MAX_SHOTS
+
+seeds = st.one_of(st.integers(0, 2**32), st.integers(0, 2**64), st.integers(0, 2**200))
+shots = st.one_of(st.integers(1, 1000), st.integers(1, 10**7), st.integers(1, MAX_SHOTS),
+                  st.integers(2**62, MAX_SHOTS))
+lambdas = st.one_of(st.sampled_from([0.0, 5e-324, 0.5]), st.floats(0.0, 0.5))
+
+
+def numpy_counts(seed, n, p):
+    return tuple(int(k) for k in np.random.default_rng(seed).multinomial(n, [p, 1.0 - p]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+@example(0)
+@example(2**128)
+@example(2**128 - 1)
+def test_raw_stream_matches_numpy(seed):
+    rng = pcg64.PCG64(seed)
+    expected = np.random.default_rng(seed).bit_generator.random_raw(16)
+    assert [rng.next_uint64() for _ in range(16)] == [int(word) for word in expected]
+
+
+@settings(max_examples=600, deadline=None)
+@given(seeds, shots, lambdas, st.booleans())
+@example(42, 100_000, 0.5, False)
+@example(7, MAX_SHOTS, 0.5, True)
+@example(7, MAX_SHOTS, 5e-324, True)
+@example(1, 2**62, 100.0 / 2**62, False)  # BTPE with a mean of 100, where n + 1 - m is not exact in double
+def test_two_outcome_counts_match_numpy(seed, n, lam, swap):
+    p = 1.0 - lam if swap else lam
+    assert pcg64.multinomial(seed, n, p) == numpy_counts(seed, n, p)
+
+
+def test_binomial_branches_match_numpy():
+    # means near the inversion/BTPE cut (30) and spreads that reach BTPE's squeeze and its exact
+    # ratio, at sample counts where C's int64 products wrap
+    rnd = random.Random(3)
+    for _ in range(1500):
+        seed = rnd.randrange(2**64)
+        n = rnd.choice([rnd.randrange(31, 10**4), rnd.randrange(2**40, 2**63), rnd.randrange(2**62, 2**63)])
+        mean = rnd.choice([29.5, 30.5, 31.0, 45.0, 100.0, rnd.uniform(30.0, 10**5), n * rnd.uniform(0.0, 0.5)])
+        p = min(mean / n, 0.5)
+        for q in (p, 1.0 - p):
+            assert pcg64.multinomial(seed, n, q) == numpy_counts(seed, n, q), (seed, n, q)
+
+
+def test_a_negative_seed_is_rejected_as_numpy_rejects_it():
+    with pytest.raises(ValueError) as ours:
+        pcg64.PCG64(-1)
+    with pytest.raises(ValueError) as theirs:
+        np.random.default_rng(-1)
+    assert str(ours.value) == str(theirs.value) == "expected non-negative integer"

@@ -368,6 +368,16 @@ def test_export_is_read_as_every_source_file_is(tmp_path):
     assert load_jsonl(path) == [Statement("person:Bob", "kin:ParentOf", "person:Alice", k) for k in (1, 2)]
 
 
+def test_a_cr_inside_a_record_does_not_move_the_line_of_a_bad_byte(tmp_path):
+    path = tmp_path / "edges.jsonl"
+    # a CR is JSON whitespace inside record 1; only LF ends a record, so the bad byte is on line 2
+    path.write_bytes(b'{"s": "person:Bob",\r"p": "kin:ParentOf", "o": "person:Alice"}\n'
+                     b'{"s": "person:Bob", "p": "kin:Paren\xfftOf", "o": "person:Alice"}\n')
+    with pytest.raises(SourceEncodingError) as excinfo:
+        load_jsonl(path)
+    assert str(excinfo.value) == "line 2, column 36: byte 0xff is not UTF-8 (invalid start byte)"
+
+
 def test_ingest_every_statement_yields_one_edge():
     voc = vocabulary_from_symbols([f"n:X{i}" for i in range(20)])
     registry = ConverseRegistry()
