@@ -161,6 +161,25 @@ def test_bulk_load_names_the_repeated_line(tmp_path):
     assert str(excinfo.value).startswith("line 3, column 1: triple (") and "already present as t1" in str(excinfo.value)
 
 
+def test_bulk_load_rejects_a_vocabulary_entry_that_is_not_a_token(tmp_path):
+    save_snapshot(build_kinship_graph(), tmp_path)
+    rewrite_with_crc(tmp_path, "vocabulary.txt", "person:Bob\nAlice\nperson:Mary\n")
+    with pytest.raises(MalformedTokenError) as excinfo:
+        load_snapshot(tmp_path)
+    assert excinfo.value.line == 2
+
+
+def test_bulk_load_names_the_line_of_a_repeated_vocabulary_entry(tmp_path, capsys):
+    save_snapshot(build_kinship_graph(), tmp_path)
+    rewrite_with_crc(tmp_path, "vocabulary.txt", "person:Bob\nperson:Alice\nperson:Bob\n")
+    with pytest.raises(DuplicateSymbolError) as excinfo:
+        load_snapshot(tmp_path)
+    assert (excinfo.value.line, excinfo.value.column) == (3, 1)
+    for argv in (["validate"], ["query", "person:Bob"]):
+        assert cli_dispatch(argv + ["--store", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", "error: line 3, column 1: duplicate symbol 'person:Bob'\n")
+
+
 # vocabularies with a fault, as a source file and as a snapshot's vocabulary.txt of d = 3:
 # (text, error, message, line); every entry starts at column 1, so both readers name the same place
 VOCABULARY_FAULTS = {
