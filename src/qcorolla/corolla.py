@@ -359,6 +359,14 @@ class CorollaGraph:
         and fixed-point free; per edge, the signed half-weights sum to 0
         exactly and their moduli sum to the registered total within
         ``WEIGHT_TOL``. Weight-0 edges are flagged as inert warnings.
+
+        A graph whose indexes only ``make_corolla`` and ``join`` wrote, and whose
+        every corolla was joined, passes every check: each edge pairs two fresh
+        converse corollas carrying +p/2 and -p/2. So ``store.ingest_document``
+        and ``store.load_snapshot``, which join each line that passes their checks
+        and raise at the first that does not, never return a graph with a finding
+        other than an inert edge; the checks stay for graphs whose indexes were
+        written some other way.
         """
         report = ValidationReport()
         involution = self.involution()

@@ -107,7 +107,11 @@ class JointState:
 
     @functools.cached_property
     def state(self) -> StateVector:
-        """The dense joint state over all ``d_L·d_R`` basis products."""
+        """The dense joint state over all ``d_L·d_R`` basis products.
+
+        A dense reference, d_L·d_R amplitudes in memory, that no CLI command or
+        script reaches: they read the two Schmidt terms of ``support``.
+        """
         import numpy as np
 
         from .qla import StateVector
@@ -260,7 +264,9 @@ def measure(state: StateVector | JointState, shots: int, seed: int) -> Measureme
     flat indices ``i·d_R + j``, without numpy: its counts equal those
     numpy's multinomial draws from its dense ``state`` for the same seed.
     Identical seeds give identical records. Only outcomes that occurred
-    appear in ``counts``. A negative seed raises ``ValueError``.
+    appear in ``counts``. A negative seed raises ``ValueError``. A
+    ``StateVector`` is sampled by numpy over all its amplitudes, d² of them for
+    a joint state: a dense reference that no CLI command or script reaches.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")

@@ -183,7 +183,9 @@ def qusym_ensemble(voc: Vocabulary, weights: Mapping[str, float]) -> DensityMatr
     """Diagonal density matrix of a probabilistic selection over the vocabulary.
 
     ``weights`` maps symbols to selection probabilities (missing symbols get
-    0); they must be non-negative and sum to 1 within tolerance.
+    0); they must be non-negative and sum to 1 within tolerance. A dense
+    reference, d² memory and an O(d³) eigensolve for its entropy, that no CLI
+    command or script reaches.
     """
     import numpy as np
 

@@ -180,7 +180,8 @@ def ingest_document(
     warning count. A statement whose predicate is a backward name must match
     an existing edge's converse reading; otherwise it is rejected. Every rejection
     carries the statement's line and, for a statement read from triples
-    text, the column of the offending token.
+    text, the column of the offending token. The graph returned is valid by
+    construction (``CorollaGraph.validate``).
     """
     graph = CorollaGraph(vocabulary, registry)
     count = duplicates = folded = 0
@@ -437,7 +438,8 @@ def load_snapshot(directory: str | Path) -> CorollaGraph:
     """Rebuild a graph from a snapshot directory, equal to re-ingesting its triples:
     each checked line ``s p o .`` (line K is ``tK``) joins its corollas through
     ``make_corolla`` and ``join`` with the vocabulary's and registry's own strings.
-    A bad or repeated line, or vocabulary entry (``checked_vocabulary``), raises at its line."""
+    A bad or repeated line, or vocabulary entry (``checked_vocabulary``), raises at its line,
+    so the graph returned is valid by construction (``CorollaGraph.validate``)."""
     _, _, vocabulary, registry, triples = open_snapshot(directory)
     entries = vocabulary.split("\n")
     entries.pop()  # the empty string after the last LF

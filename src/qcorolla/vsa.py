@@ -149,7 +149,8 @@ class OuterProduct:
 
     @functools.cached_property
     def entries(self) -> "np.ndarray":
-        """The n x n matrix, int8 for a factored product: the dense view."""
+        """The n x n matrix, int8 for a factored product: the dense view, n² memory,
+        that no CLI command or script reaches (``bind --tensor`` folds by ``compress_outer``)."""
         import numpy as np
 
         a, b = self.factors

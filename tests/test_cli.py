@@ -73,6 +73,20 @@ def test_query_unknown_node_exits_one(store_dir, capsys):
     assert "Traceback" not in err
 
 
+def test_a_node_is_a_symbol_that_some_triple_names(kinship_paths, tmp_path, capsys):
+    vocab, registry, triples = kinship_paths
+    with vocab.open("a", encoding="utf-8") as out:
+        out.write("person:Zoe\n")
+    store = str(tmp_path / "store")
+    assert cli_dispatch(["ingest", "--vocab", str(vocab), "--registry", str(registry),
+                         "--triples", str(triples), "--store", store]) == 0
+    assert capsys.readouterr().out == "ingested 4 statements: 3 nodes, 2 edges\n"
+    assert cli_dispatch(["validate", "--store", store]) == 0
+    assert capsys.readouterr() == ("graph valid: 3 nodes, 2 edges\n", "")
+    assert cli_dispatch(["query", "person:Zoe", "--store", store]) == 1
+    assert capsys.readouterr() == ("", "error: node 'person:Zoe' not in graph\n")
+
+
 def test_entangle_emits_state_json(store_dir, capsys):
     # snapshots sort triples, so t2 is the ParentOf edge (weight 0.4)
     code = cli_dispatch(["entangle", "t2", "--store", str(store_dir)])

@@ -400,18 +400,20 @@ def test_validate_reports_dangling_corolla():
 
 
 def test_validate_flags_corrupted_weight():
-    graph = build_kinship_graph()
-    tid = graph.triple_id_of(("person:Bob", "kin:ParentOf", "person:Alice"))
-    _, _, right_id = graph._triples[int(tid[1:]) - 1]
-    right = graph._half_edges[right_id - 1]
-    corrupted = dataclasses.replace(
-        right, predicate=dataclasses.replace(right.predicate, half_weight=-0.19)
-    )
-    graph._half_edges[right_id - 1] = corrupted
-    assert graph.validate().lines() == [
-        f"edge {tid}: half-weights sum to 0.010000000000000009, not 0",
-        f"edge {tid}: moduli sum 0.39 != registered 0.4",
+    # (side of the edge, field of its predicate replaced, with what) and the lines validate reports
+    cases = [
+        ((2, "half_weight", -0.19), ["half-weights sum to 0.010000000000000009, not 0", "moduli sum 0.39 != registered 0.4"]),
+        ((1, "name", "kin:Gone"), ["predicate 'kin:Gone' not registered"]),  # its half-weight kept
     ]
+    for (side, name, value), findings in cases:
+        graph = build_kinship_graph()
+        tid = graph.triple_id_of(("person:Bob", "kin:ParentOf", "person:Alice"))
+        half_edge_id = graph._triples[int(tid[1:]) - 1][side]
+        corolla = graph._half_edges[half_edge_id - 1]
+        graph._half_edges[half_edge_id - 1] = dataclasses.replace(
+            corolla, predicate=dataclasses.replace(corolla.predicate, **{name: value})
+        )
+        assert graph.validate().lines() == [f"edge {tid}: {finding}" for finding in findings]
 
 
 def test_validate_flags_involution_fixed_point():

@@ -19,6 +19,7 @@ from qcorolla.errors import (
     DuplicateSymbolError,
     MalformedTokenError,
     MissingTerminatorError,
+    QcorollaError,
     SnapshotError,
     UnknownNodeSymbolError,
     UnknownPredicateError,
@@ -159,6 +160,32 @@ def test_bulk_load_names_the_repeated_line(tmp_path):
         load_snapshot(tmp_path)
     assert (excinfo.value.line, excinfo.value.column) == (3, 1)
     assert str(excinfo.value).startswith("line 3, column 1: triple (") and "already present as t1" in str(excinfo.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**31), st.data())
+def test_bulk_load_never_returns_an_invalid_graph(tmp_path_factory, n_triples, seed, data):
+    directory = tmp_path_factory.mktemp("snap")
+    graph = build_random_graph(n_triples, seed)
+    save_snapshot(graph, directory)
+    lines = (directory / "triples.nt").read_text(encoding="utf-8").splitlines(keepends=True)
+    k = data.draw(st.integers(0, len(lines) - 1), label="line")
+    edit = data.draw(st.sampled_from(["shuffle", "repeat", "swap"]), label="edit")
+    if edit == "swap":  # for a symbol or a predicate, forward or backward, in any of the three places
+        tokens = lines[k].split(" ")
+        names = [*graph.node_vocabulary.entries, *(name for pair in graph.registry.pairs() for name in pair[:2])]
+        tokens[data.draw(st.integers(0, 2), label="token")] = data.draw(st.sampled_from(names), label="for")
+        lines[k] = " ".join(tokens)
+    else:
+        line = lines.pop(k) if edit == "shuffle" else lines[k]
+        lines.insert(data.draw(st.integers(0, len(lines)), label="to"), line)
+    rewrite_with_crc(directory, "triples.nt", "".join(lines))
+    try:
+        loaded = load_snapshot(directory)
+    except QcorollaError as exc:
+        assert exc.line is not None, exc
+    else:
+        assert loaded.validate().is_valid
 
 
 def test_bulk_load_rejects_a_vocabulary_entry_that_is_not_a_token(tmp_path):

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_random_graph
+from conftest import build_kinship_graph, build_random_graph
 
 from qcorolla.errors import (
     BackwardPredicateInSubjectPositionError,
     MalformedTokenError,
     MissingTerminatorError,
     ParseError,
+    QcorollaError,
     SourceEncodingError,
     UnknownNodeSymbolError,
     UnknownPredicateError,
@@ -315,6 +316,27 @@ def test_ingest_counts_a_one_shot_generator(kinship_paths):
     result = ingest_document(load_vocabulary(vocab), load_registry(registry), statements)
     assert (result.statements, result.folded, result.graph.edge_count) == (4, 2, 2)
     assert next(statements, None) is None  # consumed once, to its end
+
+
+KINSHIP = build_kinship_graph()
+KINSHIP_NODES = KINSHIP.node_vocabulary.entries
+# every forward statement over the kinship corpus and its converse restatement: 18 of each, so
+# a text of a dozen lines drawn from them holds exact duplicates and folds as well as new edges
+FORWARD_LINES = [f"{s} {f} {o} ." for s in KINSHIP_NODES for f, _, _ in KINSHIP.registry.pairs() for o in KINSHIP_NODES]
+CONVERSE_LINES = [f"{o} {b} {s} ." for s in KINSHIP_NODES for _, b, _ in KINSHIP.registry.pairs() for o in KINSHIP_NODES]
+FAULT_LINES = [line for line, _, _ in TRIPLE_FAULTS.values()] + ["person:Bob kin:ParentOf person:Alice"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(FORWARD_LINES + CONVERSE_LINES + FAULT_LINES), max_size=12))
+def test_ingest_never_returns_an_invalid_graph(lines):
+    text = "".join(f"{line}\n" for line in lines)
+    try:
+        graph = ingest_document(KINSHIP.node_vocabulary, KINSHIP.registry, parse_triples_text(text)).graph
+    except QcorollaError as exc:
+        assert exc.line is not None, exc
+    else:
+        assert graph.validate().is_valid
 
 
 def test_statement_keeps_its_token_columns():
