@@ -26,10 +26,14 @@ from .errors import QcorollaError
 
 
 def basis_indices(text: str) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
+    # argparse prints an ArgumentTypeError's own text, but replaces a ValueError's
+    parts = text.split(",")
     if len(parts) != 4:
-        raise ValueError("--basis needs exactly four comma-separated indices")
-    return tuple(int(p) for p in parts)
+        raise argparse.ArgumentTypeError("--basis needs exactly four comma-separated indices")
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"--basis needs integer indices, got {text!r}") from None
 
 
 def amplitude_list(text: str) -> list:

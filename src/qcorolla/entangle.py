@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
 
-from .corolla import CorollaGraph
 from .errors import (
     DegenerateBasisError,
     DimensionMismatchError,
@@ -39,6 +38,7 @@ from .qusym import Vocabulary, log_of_base
 if TYPE_CHECKING:
     import numpy as np
 
+    from .corolla import CorollaGraph
     from .qla import StateVector
 
 ENTROPY_TOL = 1e-12

@@ -350,46 +350,43 @@ class SnapshotTriple(NamedTuple):
     d: int
 
 
-def _replace(path: Path, data: bytes) -> int:
-    """Write ``data`` to a ``.tmp`` sibling, rename it over ``path``; returns its CRC-32."""
-    temporary = path.with_name(path.name + ".tmp")
-    temporary.write_bytes(data)
-    os.replace(temporary, path)
-    return zlib.crc32(data)
-
-
 def save_snapshot(graph: CorollaGraph, directory: str | Path) -> None:
     """Write the canonical on-disk form of a graph to a directory.
 
     Files: vocabulary (basis order), registry (sorted by forward name),
     triples (sorted lexicographically, so line K is triple ``tK`` once
     loaded), then ``snapshot.json`` with the format version, d, the edge
-    count and the CRC-32 of each other file. Each file replaces its old
-    version by a rename, ``snapshot.json`` last, so a save cut short leaves
-    files that fail their check. Saving the result of ``load_snapshot`` is
-    byte-identical. A name ``load_snapshot`` would refuse, not a namespaced
-    token, raises ``MalformedTokenError`` before any file is replaced; a
-    vocabulary entry is named by ``checked_vocabulary``, as on load.
+    count and the CRC-32 of each other file. Every file's bytes are built,
+    then written to a ``.tmp`` sibling, and only then renamed over the old
+    files, ``snapshot.json`` last. A save that fails before its renames
+    leaves the old snapshot whole (a ``.tmp`` file it wrote stays until the
+    next save); one cut short during them leaves files that fail their
+    check. Saving the result of ``load_snapshot`` is byte-identical. A name
+    ``load_snapshot`` would refuse, not a namespaced token, raises
+    ``MalformedTokenError`` before any file is written; a vocabulary entry
+    is named by ``checked_vocabulary``, as on load.
     """
     checked_vocabulary(graph.node_vocabulary)
-    vocabulary, registry = graph.node_vocabulary.serialize(), graph.registry.serialize()
+    registry = graph.registry.serialize()
     parse_registry(registry)
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-
-    def texts():  # in _CHECKED_FILES order, the triples text built only when its turn comes
-        yield vocabulary
-        yield registry
-        yield "".join(f"{s} {p} {o} .\n" for s, p, o in sorted(graph.triples().values()))
-
-    crc32 = {name: _replace(root / name, text.encode("utf-8")) for name, text in zip(_CHECKED_FILES, texts())}
+    data = [  # in _SNAPSHOT_FILES order, each text dropped once encoded
+        graph.node_vocabulary.serialize().encode("utf-8"),
+        registry.encode("utf-8"),
+        "".join(f"{s} {p} {o} .\n" for s, p, o in sorted(graph.triples().values())).encode("utf-8"),
+    ]
     meta = {
-        "crc32": crc32,
+        "crc32": {name: zlib.crc32(content) for name, content in zip(_CHECKED_FILES, data)},
         "d": graph.node_vocabulary.d,
         "edges": graph.edge_count,
         "format_version": SNAPSHOT_FORMAT_VERSION,
     }
-    _replace(root / "snapshot.json", f"{json.dumps(meta, sort_keys=True)}\n".encode("utf-8"))
+    data.append(f"{json.dumps(meta, sort_keys=True)}\n".encode("utf-8"))
+    root = Path(directory)
+    root.mkdir(parents=True, exist_ok=True)
+    for name, content in zip(_SNAPSHOT_FILES, data):
+        (root / f"{name}.tmp").write_bytes(content)
+    for name in _SNAPSHOT_FILES:
+        os.replace(root / f"{name}.tmp", root / name)
 
 
 def _line_count(text: str) -> int:

@@ -48,6 +48,16 @@ def test_ingest_reports_counts(kinship_paths, tmp_path, capsys):
     assert "ingested 4 statements: 3 nodes, 2 edges" in out
     assert "2 converse statement(s) folded" in err
 
+    with triples.open("a", encoding="utf-8") as file:
+        file.write("person:Bob kin:ParentOf person:Alice .\n")
+    code = cli_dispatch(["ingest", "--vocab", str(vocab), "--registry", str(registry),
+                         "--triples", str(triples), "--store", str(tmp_path / "store")])
+    assert (code, *capsys.readouterr()) == (
+        0,
+        "ingested 5 statements: 3 nodes, 2 edges\n",
+        "warning: 1 duplicate statement(s) skipped\nnote: 2 converse statement(s) folded\n",
+    )
+
 
 def test_validate_kinship_corpus(store_dir, capsys):
     code = cli_dispatch(["validate", "--store", str(store_dir)])
@@ -188,6 +198,20 @@ def test_usage_error_exit_code():
     assert cli_dispatch(["no-such-command"]) == 2
     assert cli_dispatch(["measure"]) == 2
     assert cli_dispatch([]) == 2
+
+
+BAD_BASIS = {
+    "three indices": ("0,1,2", "--basis needs exactly four comma-separated indices"),
+    "not an integer": ("0,1,x,2", "--basis needs integer indices, got '0,1,x,2'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BASIS))
+def test_bad_basis_prints_its_own_diagnosis(store_dir, capsys, case):
+    basis, diagnosis = BAD_BASIS[case]
+    assert cli_dispatch(["entangle", "t1", "--store", str(store_dir), "--basis", basis]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == f"qcorolla entangle: error: argument --basis: {diagnosis}"
 
 
 def test_help_exits_zero():
@@ -418,7 +442,7 @@ def test_command_runs_without_numpy(store_dir, kinship_paths, tmp_path, command)
 UNLOADED = {
     "bind --xor": (["deadbeef", "cafebabe"], {"qcorolla.store", "qcorolla.corolla", "qcorolla.qusym"}),
     "bind --tensor": (["deadbeef", "cafebabe"], {"qcorolla.store", "qcorolla.corolla", "qcorolla.qusym"}),
-    "round": (["--vector", "0.9,0.1,0.05", "--vocab", "{vocab}"], {"qcorolla.store"}),
+    "round": (["--vector", "0.9,0.1,0.05", "--vocab", "{vocab}"], {"qcorolla.store", "qcorolla.corolla"}),
 }
 
 _LAYER_PROBE = """import sys

@@ -144,6 +144,8 @@ def test_directed_predicate_sign_convention():
         DirectedPredicate("x:F", -0.1, FORWARD)
     with pytest.raises(ValueError):
         DirectedPredicate("x:B", 0.1, BACKWARD)
+    with pytest.raises(ValueError, match=r"direction must be forward\|backward, got 'sideways'"):
+        DirectedPredicate("x:S", 0.0, "sideways")
 
 
 # --- corolla creation ---------------------------------------------------------------
@@ -397,6 +399,10 @@ def test_validate_reports_dangling_corolla():
     report = graph.validate()
     assert not report.is_valid
     assert len(report.unpaired) == 1
+
+    graph = CorollaGraph(vocabulary_from_symbols(["person:Bob"]), graph.registry)
+    graph.make_corolla("person:Bob", "kin:ParentOf")  # never joined
+    assert graph.validate().lines() == ["unpaired half-edge 1"]
 
 
 def test_validate_flags_corrupted_weight():

@@ -15,6 +15,7 @@ from qcorolla.entangle import (
     DEFAULT_PATTERN_TAGS,
     ENTROPY_TOL,
     JointState,
+    MeasurementRecord,
     bell_fidelity,
     bell_states,
     binary_entropy,
@@ -202,6 +203,9 @@ def test_joint_state_validates_target():
         JointState(0.5, (0, 1, 0, 1), (2, 2), target_entropy=1.2)
     with pytest.raises(ValueError, match="misses target"):
         JointState(0.5, (0, 1, 0, 1), (2, 2), target_entropy=0.3)
+    for lam in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="Schmidt weight must lie in"):
+            JointState(lam, (0, 1, 0, 1), (2, 2), target_entropy=0.5)
 
 
 def test_maximally_entangled_reduction_is_balanced():
@@ -337,6 +341,8 @@ def test_swapped_pattern_config_honored():
 def test_unknown_pattern_rejected():
     with pytest.raises(UnknownPatternError):
         map_triple_pattern("pattern-9")
+    with pytest.raises(UnknownPatternError, match="configured label 'phi0' is not a Bell label"):
+        map_triple_pattern(DEFAULT_PATTERN_TAGS[0], {DEFAULT_PATTERN_TAGS[0]: "phi0"})
 
 
 # --- measurement ----------------------------------------------------------------------
@@ -363,6 +369,8 @@ def test_measure_counts_sum_to_shots():
         state = make_state(rng.normal(size=4) + 1j * rng.normal(size=4))
         record = measure(state, shots=1000, seed=trial)
         assert sum(record.counts.values()) == 1000
+    with pytest.raises(ValueError, match="counts must sum to shots"):
+        MeasurementRecord(shots=10, counts={0: 9}, seed=0)
 
 
 def test_measure_frequencies_converge():

@@ -16,6 +16,7 @@ from qcorolla.errors import (
 )
 from qcorolla.qla import (
     DensityMatrix,
+    SchmidtDecomposition,
     StateVector,
     basis_state,
     entanglement_entropy,
@@ -59,6 +60,8 @@ def test_make_state_zero_vector():
 def test_make_state_empty():
     with pytest.raises(EmptyVectorError):
         make_state([])
+    with pytest.raises(EmptyVectorError):
+        StateVector(np.array([]))
 
 
 @given(
@@ -85,6 +88,11 @@ def test_statevector_rejects_unnormalized():
 
 
 # --- tensor -------------------------------------------------------------------
+
+def test_basis_state_index_out_of_range():
+    with pytest.raises(DimensionMismatchError, match="basis index 2 out of range for dim 2"):
+        basis_state(2, 2)
+
 
 def test_tensor_basis_product():
     s = tensor(basis_state(2, 0), basis_state(2, 1))
@@ -133,6 +141,8 @@ def test_mix_maximally_mixed():
 def test_mix_probability_mismatch():
     with pytest.raises(ProbabilityMismatchError):
         mix([(0.5, basis_state(2, 0)), (0.6, basis_state(2, 1))])
+    with pytest.raises(ProbabilityMismatchError, match="ensemble is empty"):
+        mix([])
 
 
 def test_mix_dim_mismatch():
@@ -156,6 +166,8 @@ def test_partial_trace_dim_mismatch():
     rho = DensityMatrix(np.eye(5) / 5)
     with pytest.raises(DimensionMismatchError):
         partial_trace(rho, (3, 2), "A")
+    with pytest.raises(ValueError, match="keep must be 'A' or 'B', got 'C'"):
+        partial_trace(outer(BELL), (2, 2), "C")
 
 
 def test_partial_trace_preserves_trace():
@@ -197,6 +209,16 @@ def test_schmidt_reconstruction_identity():
             state = random_state(rng, dims[0] * dims[1])
             rebuilt = schmidt(state, dims).reconstruct()
             assert fidelity(rebuilt, state) >= 1.0 - 1e-9
+
+
+def test_schmidt_decomposition_checks_coefficients_and_bases():
+    basis = (basis_state(2, 0), basis_state(2, 1))
+    with pytest.raises(ValueError, match="non-negative and non-increasing"):
+        SchmidtDecomposition(np.array([0.6, 0.8]), basis, basis)
+    with pytest.raises(ValueError, match="square-sum to 1"):
+        SchmidtDecomposition(np.array([0.5, 0.5]), basis, basis)
+    with pytest.raises(ValueError, match="orthonormal"):
+        SchmidtDecomposition(np.array([0.8, 0.6]), basis, (basis[0], basis[0]))
 
 
 def test_schmidt_bases_orthonormal():
@@ -299,6 +321,11 @@ def test_density_matrix_rejects_non_hermitian():
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
 
+def test_density_matrix_rejects_non_square():
+    with pytest.raises(DimensionMismatchError, match="must be square"):
+        DensityMatrix(np.ones((2, 3)) / 2)
+
+
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(2))
@@ -323,6 +350,11 @@ def test_states_equal_quotients_global_phase():
 def test_fidelity_phase_invariant(theta):
     s = make_state([1, 1j, -1])
     assert fidelity(s, StateVector(np.exp(1j * theta) * s.amplitudes)) == pytest.approx(1.0)
+
+
+def test_fidelity_needs_equal_dims():
+    with pytest.raises(DimensionMismatchError, match="fidelity needs equal dims, got 2 and 3"):
+        fidelity(basis_state(2, 0), basis_state(3, 0))
 
 
 # --- non-finite input ------------------------------------------------------------------

@@ -8,15 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qcorolla.errors import (
+    DimensionMismatchError,
     DuplicateSymbolError,
     EmptyVocabularyError,
     MalformedTokenError,
     ProbabilityMismatchError,
     UnknownSymbolError,
 )
-from qcorolla.qla import von_neumann_entropy
+from qcorolla.qla import make_state, von_neumann_entropy
 from qcorolla.qusym import (
     Grammar,
+    Qusym,
     Vocabulary,
     checked_vocabulary,
     load_vocabulary,
@@ -36,7 +38,7 @@ PEOPLE = vocabulary_from_symbols(["person:Bob", "person:Alice", "person:Mary"])
 
 def test_binary_vocabulary():
     voc = vocabulary_from_symbols(["0", "1"])
-    assert voc.d == 2
+    assert voc.d == len(voc) == 2
     assert voc.index("0") == 0 and voc.index("1") == 1
 
 
@@ -111,6 +113,8 @@ def test_encode_symbol_one_hot():
 def test_encode_unknown_symbol():
     with pytest.raises(UnknownSymbolError):
         encode_symbol(PEOPLE, "person:Carol")
+    with pytest.raises(DimensionMismatchError, match="state dim 2 != vocabulary size 3"):
+        Qusym(PEOPLE, make_state([1, 0]))
 
 
 def test_encode_decode_roundtrip_large_vocabulary():
@@ -175,6 +179,15 @@ def test_string_entropy_byte():
     assert result.count == 256
 
 
+def test_string_entropy_and_scaling_table_reject_out_of_range_input():
+    with pytest.raises(ValueError, match="length must be positive, got 0"):
+        string_entropy(0, 2)
+    with pytest.raises(ValueError, match="base must be at least 2, got 1"):
+        string_entropy(1, 1)
+    with pytest.raises(ValueError, match="lengths and bases must be non-empty"):
+        scaling_table([], [2])
+
+
 def test_string_entropy_huge_count_is_exact():
     result = string_entropy(300, 10)
     assert result.count == 10**300  # arbitrary-precision, no overflow
@@ -225,11 +238,13 @@ AB = Grammar(symbols=frozenset({"a", "b"}))
 
 def test_validate_string_accepts_member():
     assert validate_string(AB, "abba").accepted
+    assert validate_string(AB, "abba")
 
 
 def test_validate_string_rejects_foreign_symbol():
     result = validate_string(AB, "abc")
     assert not result.accepted
+    assert not result
     assert "position 2" in result.reason
 
 

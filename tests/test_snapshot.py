@@ -39,6 +39,7 @@ from qcorolla.store import (
 )
 
 INDEXES = ("_owned", "_half_edges", "_edge_of", "_triples", "_triple_keys")
+SNAPSHOT_FILES = ("vocabulary.txt", "registry.txt", "triples.nt", "snapshot.json")
 
 
 def reingested(directory):
@@ -515,6 +516,27 @@ def test_torn_save_is_rejected_and_a_completed_save_loads(kinship_paths, tmp_pat
     assert_same_indexes(load_snapshot(directory), reingested(directory))
     assert cli_dispatch(["validate", "--store", str(directory)]) == 0
     assert capsys.readouterr().out == f"graph valid: {replacement.node_count} nodes, 30 edges\n"
+
+
+def test_a_save_that_fails_before_its_renames_leaves_the_old_store_whole(kinship_paths, tmp_path, capsys):
+    directory = kinship_store(kinship_paths, tmp_path / "store")
+    before = {name: (directory / name).read_bytes() for name in SNAPSHOT_FILES}
+    (directory / "triples.nt.tmp").mkdir()  # its write fails after vocabulary.txt.tmp and registry.txt.tmp
+    with pytest.raises(OSError):
+        save_snapshot(build_random_graph(30, seed=1), directory)
+    assert {name: (directory / name).read_bytes() for name in SNAPSHOT_FILES} == before
+    kinship = ingest(*kinship_paths).graph
+    assert sorted(load_snapshot(directory).triples().values()) == sorted(kinship.triples().values())
+
+    vocab, registry, triples = kinship_paths
+    with vocab.open("a", encoding="utf-8") as file:
+        file.write("person:Zoe\n")  # a vocabulary.txt renamed over the old one would fail its CRC-32 check
+    argv = ["--vocab", vocab, "--registry", registry, "--triples", triples, "--store", directory]
+    assert cli_dispatch(["ingest", *map(str, argv)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert cli_dispatch(["validate", "--store", str(directory)]) == 0
+    assert capsys.readouterr().out == "graph valid: 3 nodes, 2 edges\n"
 
 
 # --- triple ids are read by line number -------------------------------------------------

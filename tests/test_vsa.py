@@ -46,11 +46,15 @@ def test_random_hypervector_weight_concentration():
 def test_random_hypervector_rejects_zero_dim():
     with pytest.raises(ValueError):
         random_hypervector(0, 1)
+    with pytest.raises(ValueError, match="at least one bit"):
+        HyperVector.zero(0)
 
 
 def test_hypervector_rejects_non_binary():
     with pytest.raises(ValueError):
         HyperVector(np.array([0, 2, 1]))
+    with pytest.raises(ValueError, match="at least one bit"):
+        HyperVector([])
 
 
 # --- XOR binding ------------------------------------------------------------------
@@ -139,6 +143,13 @@ def test_bind_tensor_self_symmetric():
 def test_bind_tensor_bipolar_values():
     op = bind_tensor(random_hypervector(8, 23), random_hypervector(8, 24))
     assert set(np.unique(op.entries)) <= {-1, 1}
+
+
+def test_outer_product_holds_a_square_integer_matrix():
+    op = OuterProduct(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert op.entries.dtype == np.int64 and op.entries.tolist() == [[1, -1], [-1, 1]]
+    with pytest.raises(DimensionMismatchError, match="must be square"):
+        OuterProduct([[1, -1, 1]])
 
 
 def test_bind_tensor_non_commutative_witness():
@@ -329,6 +340,8 @@ def test_hex_non_multiple_of_four_pads():
     hv = HyperVector(np.array([1, 0, 1, 1, 0, 1]))  # 6 bits -> "b4"
     assert hv.to_hex() == "b4"
     assert HyperVector.from_hex("b4", n=6) == hv
+    assert repr(hv) == "HyperVector.from_hex('b4', n=6)"
+    assert eval(repr(hv), {"HyperVector": HyperVector}) == hv
 
 
 def test_bits_are_built_once_and_read_only():
@@ -355,6 +368,13 @@ def test_bundle_majority_vote():
         HyperVector(np.array([1, 1, 0, 0])),
     ]
     assert np.array_equal(bundle_majority(vs).bits, [1, 1, 0, 0])
+
+
+def test_bundle_majority_rejects_an_empty_or_mixed_sequence():
+    with pytest.raises(ValueError, match="empty sequence"):
+        bundle_majority([])
+    with pytest.raises(DimensionMismatchError, match="share one dimension"):
+        bundle_majority([HyperVector.zero(2), HyperVector.zero(3)])
 
 
 def test_bundle_majority_tie_resolves_to_zero():
