@@ -7,9 +7,11 @@ identical output.
 
 Each handler imports only the layers its command runs: the module itself
 loads none, so ``bind`` loads only ``vsa`` and ``round`` no ``store``. No
-command loads numpy: ``bind``'s XOR and tensor fold are integer operations,
-``measure`` samples through ``pcg64``, a plain-Python port of numpy's
-seeded binomial stream, and ``round`` normalizes in plain Python. Every store command opens
+command loads ``dataclasses``, and only those that read ``snapshot.json``
+or print JSON load ``json``. No command loads numpy: ``bind``'s XOR and
+tensor fold are integer operations, ``measure`` samples through ``pcg64``,
+a plain-Python port of numpy's seeded binomial stream, and ``round``
+normalizes in plain Python. Every store command opens
 the snapshot through ``store.open_snapshot``; only ``validate``, ``query``
 and ``export`` build the graph, while ``entangle``, ``measure`` and
 ``entropy --triple`` read one line of it and ``entropy --node-vocab`` only d.
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 
 from .errors import QcorollaError
@@ -153,6 +154,8 @@ def _triple_state(args, basis_choice=None):
 
 
 def _cmd_entangle(args) -> int:
+    import json
+
     from . import entangle
 
     triple, joint = _triple_state(args, args.basis)
@@ -172,6 +175,8 @@ def _cmd_entangle(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    import json
+
     from . import entangle
 
     _, joint = _triple_state(args)

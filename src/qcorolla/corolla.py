@@ -19,9 +19,8 @@ concurrently between mutations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
 
 from .errors import (
     AlreadyPairedError,
@@ -36,6 +35,7 @@ from .errors import (
     UnknownTripleError,
     WeightOutOfRangeError,
     WrongOrientationError,
+    read_only,
 )
 from .qusym import SEPARATORS, TOKEN_PATTERN, Vocabulary, read_source, source_lines
 
@@ -48,38 +48,62 @@ Triple = Tuple[str, str, str]
 Edge = Tuple[str, int, int]  # (triple id, forward half-edge id, backward half-edge id)
 
 
-@dataclass(frozen=True, slots=True)
 class DirectedPredicate:
     """One direction of a converse pair with its signed half-weight (bits).
 
     Forward predicates carry +p/2, backward predicates -p/2; 0 is allowed
-    only for the degenerate unentangled predicate.
+    only for the degenerate unentangled predicate. Read-only, since every
+    corolla of the name shares it; two are equal when their fields are.
     """
 
-    name: str
-    half_weight: float
-    direction: str
+    __slots__ = ("name", "half_weight", "direction")
+    __setattr__ = read_only
 
-    def __post_init__(self):
-        if self.direction not in (FORWARD, BACKWARD):
-            raise ValueError(f"direction must be forward|backward, got {self.direction!r}")
-        if self.direction == FORWARD and self.half_weight < 0:
+    def __init__(self, name: str, half_weight: float, direction: str):
+        if direction not in (FORWARD, BACKWARD):
+            raise ValueError(f"direction must be forward|backward, got {direction!r}")
+        if direction == FORWARD and half_weight < 0:
             raise ValueError("forward predicates need a non-negative half-weight")
-        if self.direction == BACKWARD and self.half_weight > 0:
+        if direction == BACKWARD and half_weight > 0:
             raise ValueError("backward predicates need a non-positive half-weight")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "half_weight", half_weight)
+        object.__setattr__(self, "direction", direction)
+
+    def __eq__(self, other):
+        if type(other) is not DirectedPredicate:
+            return NotImplemented
+        return (self.name, self.half_weight, self.direction) == (other.name, other.half_weight, other.direction)
+
+    def __reduce__(self):  # copy and pickle rebuild it through __init__, as its slots are read-only
+        return DirectedPredicate, (self.name, self.half_weight, self.direction)
 
 
-@dataclass(frozen=True, slots=True)
 class Corolla:
-    """A node symbol plus one owned directed predicate: half of a triple."""
+    """A node symbol plus one owned directed predicate: half of a triple.
 
-    node: str
-    predicate: DirectedPredicate
-    half_edge_id: int
+    Two are equal when their fields are; a corolla hashes as its half-edge id.
+    It checks nothing, so its fields are plain slots: read-only ones would
+    cost each half-edge a third of a microsecond more to build.
+    """
+
+    __slots__ = ("node", "predicate", "half_edge_id")
+
+    def __init__(self, node: str, predicate: DirectedPredicate, half_edge_id: int):
+        self.node = node
+        self.predicate = predicate
+        self.half_edge_id = half_edge_id
+
+    def __eq__(self, other):
+        if type(other) is not Corolla:
+            return NotImplemented
+        return (self.node, self.predicate, self.half_edge_id) == (other.node, other.predicate, other.half_edge_id)
+
+    def __hash__(self) -> int:
+        return hash(self.half_edge_id)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of a whole-graph consistency sweep.
 
     ``is_valid`` is true iff no unpaired half-edges, involution violations,
@@ -88,10 +112,10 @@ class ValidationReport:
     validity.
     """
 
-    unpaired: List[int] = field(default_factory=list)
-    involution_violations: List[str] = field(default_factory=list)
-    weight_violations: List[str] = field(default_factory=list)
-    inert_edges: List[str] = field(default_factory=list)
+    unpaired: List[int]
+    involution_violations: List[str]
+    weight_violations: List[str]
+    inert_edges: List[str]
 
     @property
     def is_valid(self) -> bool:
@@ -368,9 +392,8 @@ class CorollaGraph:
         other than an inert edge; the checks stay for graphs whose indexes were
         written some other way.
         """
-        report = ValidationReport()
+        report = ValidationReport([h for h, edge in enumerate(self._edge_of, 1) if edge is None], [], [], [])
         involution = self.involution()
-        report.unpaired = [h for h, edge in enumerate(self._edge_of, 1) if edge is None]
         for f, f_prime in involution.items():
             if f_prime == f:
                 report.involution_violations.append(f"involution fixed point at half-edge {f}")

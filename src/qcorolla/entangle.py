@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import (
     DegenerateBasisError,
@@ -32,6 +31,7 @@ from .errors import (
     UnknownPatternError,
     WeightOutOfRangeError,
     ZeroVectorError,
+    read_only,
 )
 from .qusym import Vocabulary, log_of_base
 
@@ -55,47 +55,45 @@ DEFAULT_PATTERN_TAGS = ("pattern-1", "pattern-2", "pattern-3", "pattern-4")
 BasisChoice = Tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class BellState:
+class BellState(NamedTuple):
     """One of the four maximally entangled two-qubit states."""
 
     label: str
     state: StateVector
 
 
-@dataclass(frozen=True)
 class JointState:
     """Two-term Schmidt state ``√λ |iL⟩⊗|iR⟩ + √(1−λ) |jL⟩⊗|jR⟩`` carrying a
     triple's target entanglement entropy (bits).
 
     Stored in closed form: ``basis`` is ``(iL, jL, iR, jR)`` and ``dims`` is
     ``(d_L, d_R)``. The dense ``d_L·d_R`` amplitudes are built only when
-    ``state`` is first read.
+    ``state`` is first read. Read-only; two are equal when these four fields are.
     """
 
-    lam: float
-    basis: BasisChoice
-    dims: Tuple[int, int]
-    target_entropy: float
+    __setattr__ = read_only
 
-    def __post_init__(self):
-        if not 0.0 <= self.target_entropy <= 1.0:
-            raise WeightOutOfRangeError(
-                f"target entropy must lie in [0, 1] bits, got {self.target_entropy!r}"
-            )
-        il, jl, ir, jr = self.basis
+    def __init__(self, lam: float, basis: BasisChoice, dims: Tuple[int, int], target_entropy: float):
+        if not 0.0 <= target_entropy <= 1.0:
+            raise WeightOutOfRangeError(f"target entropy must lie in [0, 1] bits, got {target_entropy!r}")
+        il, jl, ir, jr = basis
         if il == jl or ir == jr:
-            raise DegenerateBasisError(f"basis indices must differ per side, got {self.basis}")
-        for index, d in ((il, self.dims[0]), (jl, self.dims[0]), (ir, self.dims[1]), (jr, self.dims[1])):
+            raise DegenerateBasisError(f"basis indices must differ per side, got {basis}")
+        for index, d in ((il, dims[0]), (jl, dims[0]), (ir, dims[1]), (jr, dims[1])):
             if not 0 <= index < d:
                 raise DimensionMismatchError(f"basis index {index} out of range for d={d}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"Schmidt weight must lie in [0, 1], got {self.lam!r}")
-        measured = binary_entropy(self.lam)
-        if abs(measured - self.target_entropy) > ENTROPY_TOL:
-            raise ValueError(
-                f"state entropy {measured!r} misses target {self.target_entropy!r}"
-            )
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"Schmidt weight must lie in [0, 1], got {lam!r}")
+        measured = binary_entropy(lam)
+        if abs(measured - target_entropy) > ENTROPY_TOL:
+            raise ValueError(f"state entropy {measured!r} misses target {target_entropy!r}")
+        self.__dict__.update(lam=lam, basis=basis, dims=dims, target_entropy=target_entropy)
+
+    def __eq__(self, other):
+        if type(other) is not JointState:
+            return NotImplemented
+        return (self.lam, self.basis, self.dims, self.target_entropy) == \
+            (other.lam, other.basis, other.dims, other.target_entropy)
 
     def support(self) -> Tuple[Tuple[int, float], Tuple[int, float]]:
         """The two Schmidt terms as (flat index ``i·d_R + j``, amplitude), by index."""
@@ -122,17 +120,21 @@ class JointState:
         return StateVector(amps)
 
 
-@dataclass(frozen=True)
 class MeasurementRecord:
-    """Counts of projective-measurement outcomes from ``shots`` seeded draws."""
+    """Counts of projective-measurement outcomes from ``shots`` seeded draws.
+    Read-only; two are equal when their fields are."""
 
-    shots: int
-    counts: Mapping[int, int]
-    seed: int
+    __setattr__ = read_only
 
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
+    def __init__(self, shots: int, counts: Mapping[int, int], seed: int):
+        if sum(counts.values()) != shots:
             raise ValueError("counts must sum to shots")
+        self.__dict__.update(shots=shots, counts=counts, seed=seed)
+
+    def __eq__(self, other):
+        if type(other) is not MeasurementRecord:
+            return NotImplemented
+        return (self.shots, self.counts, self.seed) == (other.shots, other.counts, other.seed)
 
     def as_dict(self) -> Dict:
         """JSON-ready form with the exact key set {seed, shots, counts}."""

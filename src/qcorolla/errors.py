@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the ``__setattr__`` of its
+read-only classes.
 
 Every failure mode named in an operation contract gets its own class so
 callers can discriminate without string matching.
@@ -136,3 +137,13 @@ class BackwardPredicateInSubjectPositionError(QcorollaError, ValueError):
 
 class SnapshotError(QcorollaError, ValueError):
     """Snapshot of another format version, or a file that fails its check."""
+
+
+# --- read-only values -------------------------------------------------------
+
+def read_only(instance, name: str, value) -> None:
+    """``__setattr__`` of a class whose ``__init__`` checks its fields or derives
+    state from them. ``__init__`` bypasses it, writing into ``__dict__`` or
+    through ``object.__setattr__``; any later assignment raises, with a frozen
+    dataclass's message."""
+    raise AttributeError(f"cannot assign to field {name!r}")

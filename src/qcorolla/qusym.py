@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -23,6 +22,7 @@ from .errors import (
     ProbabilityMismatchError,
     SourceEncodingError,
     UnknownSymbolError,
+    read_only,
 )
 
 if TYPE_CHECKING:
@@ -80,15 +80,13 @@ def _check_symbol(symbol: str) -> str:
     return symbol
 
 
-@dataclass(frozen=True)
 class Vocabulary:
-    """Ordered set of distinct symbols; position in ``entries`` is the basis index."""
+    """Ordered set of distinct symbols; position in ``entries`` is the basis index.
+    Read-only; two are equal when their entries are."""
 
-    entries: Tuple[str, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+    __setattr__ = read_only
 
-    def __post_init__(self):
-        entries = self.entries
+    def __init__(self, entries: Tuple[str, ...]):
         if not entries:
             raise EmptyVocabularyError("vocabulary needs at least one symbol")
         try:  # C-level checks first: each entry one whitespace-free word, no entry twice
@@ -103,7 +101,10 @@ class Vocabulary:
                 if symbol in index:
                     raise DuplicateSymbolError(f"duplicate symbol {symbol!r}")
                 index[symbol] = i
-        object.__setattr__(self, "_index", index)
+        self.__dict__.update(entries=entries, _index=index)
+
+    def __eq__(self, other):
+        return self.entries == other.entries if type(other) is Vocabulary else NotImplemented
 
     @property
     def d(self) -> int:
@@ -140,31 +141,30 @@ def checked_vocabulary(
     of entry k: by default line k + 1, column 1, as in a canonical file. A ``Vocabulary``
     whose entries are all tokens is returned as it is."""
     if all(map(TOKEN_PATTERN.fullmatch, entries)):  # C-level checks; the loop below only names a fault
+        if isinstance(entries, Vocabulary):  # which holds no entry twice
+            return entries
         try:
-            return entries if isinstance(entries, Vocabulary) else Vocabulary(tuple(entries))
+            return Vocabulary(tuple(entries))
         except DuplicateSymbolError:
             pass
+    # entries that reach here hold a fault, so the loop raises
     first = {}  # entry -> its first position
     for k, entry in enumerate(entries):
         if not TOKEN_PATTERN.fullmatch(entry):
             raise MalformedTokenError(f"vocabulary entry {entry!r} is not a namespaced symbol", *where(k))
         if first.setdefault(entry, k) != k:
             raise DuplicateSymbolError(f"duplicate symbol {entry!r}", *where(k))
-    return Vocabulary(tuple(entries))
 
 
-@dataclass(frozen=True)
 class Qusym:
-    """A vocabulary together with a state over its basis vectors."""
+    """A vocabulary together with a state over its basis vectors (read-only)."""
 
-    vocabulary: Vocabulary
-    state: StateVector
+    __setattr__ = read_only
 
-    def __post_init__(self):
-        if self.state.dim != self.vocabulary.d:
-            raise DimensionMismatchError(
-                f"state dim {self.state.dim} != vocabulary size {self.vocabulary.d}"
-            )
+    def __init__(self, vocabulary: Vocabulary, state: StateVector):
+        if state.dim != vocabulary.d:
+            raise DimensionMismatchError(f"state dim {state.dim} != vocabulary size {vocabulary.d}")
+        self.__dict__.update(vocabulary=vocabulary, state=state)
 
 
 def vocabulary_from_symbols(symbols: Iterable[str]) -> Vocabulary:
@@ -217,8 +217,7 @@ def uniform_entropy(d: int, base: float = 2.0) -> float:
     return math.log(d) / log_of_base(base)
 
 
-@dataclass(frozen=True)
-class StringEntropy:
+class StringEntropy(NamedTuple):
     """Entropy (bits) of a string of given length over a base-d symbol set,
     plus the exact count of such strings."""
 
@@ -239,8 +238,7 @@ def string_entropy(length: int, base: int) -> StringEntropy:
     return StringEntropy(bits=length * math.log2(base), count=base**length)
 
 
-@dataclass(frozen=True)
-class ScalingRow:
+class ScalingRow(NamedTuple):
     length: int
     base: int
     entropy_bits: float
@@ -264,24 +262,22 @@ def scaling_table(lengths: Sequence[int], bases: Sequence[int]) -> Tuple[Scaling
     return tuple(rows)
 
 
-@dataclass(frozen=True)
 class Grammar:
-    """Symbol set plus named closure rules a string must satisfy.
+    """Symbol set plus named closure rules a string must satisfy (read-only).
 
     Rules are checked in declaration order; each is a named predicate over
     the full candidate string.
     """
 
-    symbols: frozenset
-    rules: Tuple[Tuple[str, Callable[[str], bool]], ...] = ()
+    __setattr__ = read_only
 
-    def __post_init__(self):
-        for symbol in self.symbols:
+    def __init__(self, symbols: frozenset, rules: Tuple[Tuple[str, Callable[[str], bool]], ...] = ()):
+        for symbol in symbols:
             _check_symbol(symbol)
+        self.__dict__.update(symbols=symbols, rules=rules)
 
 
-@dataclass(frozen=True)
-class StringValidation:
+class StringValidation(NamedTuple):
     accepted: bool
     reason: str | None = None
 

@@ -27,7 +27,6 @@ import gc
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as quote  # how json.dumps quotes a str
 from pathlib import Path
 from typing import Container, Dict, Iterable, Iterator, List, NamedTuple, Tuple
@@ -63,20 +62,31 @@ from .qusym import (
 SNAPSHOT_FORMAT_VERSION = 2
 
 
-@dataclass(frozen=True, slots=True)
 class Statement:
     """One parsed (subject, predicate, object) line with its source position.
 
     ``columns`` holds the columns of the subject, predicate and object in a
     triples line; a statement read from another source (``load_jsonl``) has
-    none, and its faults name only the line.
+    none, and its faults name only the line. Two statements are equal when
+    all but their columns are. Like ``Corolla``, one is built per line, so
+    its fields are plain slots.
     """
 
-    subject: str
-    predicate: str
-    object: str
-    line: int = 0
-    columns: Tuple[int, int, int] | None = field(default=None, compare=False)
+    __slots__ = ("subject", "predicate", "object", "line", "columns")
+
+    def __init__(self, subject: str, predicate: str, object: str, line: int = 0,
+                 columns: Tuple[int, int, int] | None = None):
+        self.subject = subject
+        self.predicate = predicate
+        self.object = object
+        self.line = line
+        self.columns = columns
+
+    def __eq__(self, other):
+        if type(other) is not Statement:
+            return NotImplemented
+        return (self.subject, self.predicate, self.object, self.line) == \
+            (other.subject, other.predicate, other.object, other.line)
 
     @property
     def triple(self) -> Tuple[str, str, str]:
@@ -140,8 +150,7 @@ def load_triples(path: str | Path) -> Iterator[Statement]:
     return parse_triples_text(read_source(path))
 
 
-@dataclass
-class IngestResult:
+class IngestResult(NamedTuple):
     """Graph built from one ingestion plus its dedup/fold accounting."""
 
     graph: CorollaGraph
@@ -235,8 +244,7 @@ class CorollaView(NamedTuple):
     triple_id: str | None
 
 
-@dataclass(frozen=True)
-class NodeReport:
+class NodeReport(NamedTuple):
     symbol: str
     corollas: Tuple[CorollaView, ...]
     readings: Tuple[Tuple[str, str, str], ...]  # forward and converse of each triple
@@ -483,7 +491,8 @@ def _line_fault(line: str, lineno: int, registry: ConverseRegistry, symbols: Con
 def read_triple(directory: str | Path, triple_id: str) -> SnapshotTriple:
     """Triple ``tK`` of a snapshot from line K of its triples file, with its
     weight and basis indices, building no graph and no vocabulary. Only line K
-    is checked, as ``load_snapshot`` checks it and with the same diagnosis."""
+    and the two vocabulary entries it names are checked, as ``load_snapshot``
+    checks them and with the same diagnosis: the entries first, in line order."""
     snapshot = open_snapshot(directory)
     k = triple_number(triple_id, snapshot.edges)
     line = snapshot.triples.split("\n", k)[k - 1]
@@ -492,10 +501,15 @@ def read_triple(directory: str | Path, triple_id: str) -> SnapshotTriple:
     try:
         s, p, o, dot = line.split(" ")
         subject_index, object_index = _line_index(lines, s), _line_index(lines, o)
-        if dot != "." or p not in registry or registry.is_backward(p):
-            raise ValueError(line)
-    except ValueError:  # only now are the entries split, to name the fault
-        raise _line_fault(line, k, registry, snapshot.vocabulary.split("\n")[:-1]) from None
+    except ValueError:
+        dot = None  # not four tokens, or a symbol on no vocabulary line
+    else:
+        for index, entry in sorted(((subject_index, s), (object_index, o))):
+            if not TOKEN_PATTERN.fullmatch(entry):
+                raise MalformedTokenError(f"vocabulary entry {entry!r} is not a namespaced symbol", index + 1, 1)
+    if dot != "." or p not in registry or registry.is_backward(p):
+        # only now are the entries split, to name the fault
+        raise _line_fault(line, k, registry, snapshot.vocabulary.split("\n")[:-1])
     return SnapshotTriple((s, p, o), registry.total_weight(p), subject_index, object_index, snapshot.d)
 
 

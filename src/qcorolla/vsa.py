@@ -28,10 +28,9 @@ from __future__ import annotations
 import functools
 import sys
 from array import array
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, read_only
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,15 +40,14 @@ _BIT_CHAR = {0: "0", 1: "1"}
 _ASCII_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class HyperVector:
     """Fixed-dimension binary vector; all operands in an operation share n.
 
     ``HyperVector(bits)`` takes a sequence of 0/1 values, first bit first.
+    Read-only; two are equal, and hash alike, when ``n`` and ``value`` are.
     """
 
-    n: int
-    value: int
+    __setattr__ = read_only
 
     def __init__(self, bits: Iterable[int]):
         try:
@@ -58,15 +56,19 @@ class HyperVector:
             raise ValueError("hypervector bits must be 0 or 1") from None
         if not text:
             raise ValueError("hypervector needs at least one bit")
-        object.__setattr__(self, "n", len(text))
-        object.__setattr__(self, "value", int(text, 2))
+        self.__dict__.update(n=len(text), value=int(text, 2))
 
     @classmethod
     def _of(cls, n: int, value: int) -> "HyperVector":
         hv = cls.__new__(cls)
-        object.__setattr__(hv, "n", n)
-        object.__setattr__(hv, "value", value)
+        hv.__dict__.update(n=n, value=value)
         return hv
+
+    def __eq__(self, other):
+        return (self.n, self.value) == (other.n, other.value) if type(other) is HyperVector else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.value))
 
     @functools.cached_property
     def bits(self) -> "np.ndarray":
@@ -114,17 +116,15 @@ class HyperVector:
         return cls._of(n, 0)
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class OuterProduct:
-    """n x n matrix of bipolar bit products from tensor binding.
+    """n x n matrix of bipolar bit products from tensor binding (read-only).
 
     ``OuterProduct(entries)`` holds an explicit integer matrix. A product
     made by ``bind_tensor`` holds its two ``factors`` instead and builds
     ``entries`` only when it is read.
     """
 
-    n: int
-    factors: Tuple[HyperVector, HyperVector] | None
+    __setattr__ = read_only
 
     def __init__(self, entries):
         import numpy as np
@@ -136,15 +136,12 @@ class OuterProduct:
             raise DimensionMismatchError(f"outer product must be square, got {mat.shape}")
         mat = mat.copy()
         mat.setflags(write=False)
-        object.__setattr__(self, "n", mat.shape[0])
-        object.__setattr__(self, "factors", None)
-        self.__dict__["entries"] = mat
+        self.__dict__.update(n=mat.shape[0], factors=None, entries=mat)
 
     @classmethod
     def _of(cls, a: HyperVector, b: HyperVector) -> "OuterProduct":
         op = cls.__new__(cls)
-        object.__setattr__(op, "n", a.n)
-        object.__setattr__(op, "factors", (a, b))
+        op.__dict__.update(n=a.n, factors=(a, b))
         return op
 
     @functools.cached_property

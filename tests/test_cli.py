@@ -389,7 +389,8 @@ def test_main_dispatches_with_the_collector_off(monkeypatch):
     assert (exit_.value.code, collecting) == (0, [False])
 
 
-# commands that must run without importing numpy, with the arguments after the command name
+# commands that must run without importing numpy, dataclasses or inspect, with the arguments
+# after the command name
 NUMPY_FREE = {
     "query": ["person:Bob"],
     "validate": [],
@@ -411,12 +412,9 @@ NUMPY_FREE_EXIT_1 = {
     "measure --seed -1": "error: expected non-negative integer",
 }
 
-_PROBE = """import sys
-from qcorolla.cli import cli_dispatch
-code = cli_dispatch(sys.argv[1:])
-print("numpy loaded" if "numpy" in sys.modules else "numpy not loaded", file=sys.stderr)
-sys.exit(code)
-"""
+# modules no command needs: numpy serves only the dense paths, and dataclasses (which loads
+# inspect) only qla
+HEAVY = {"numpy", "dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("command", sorted(NUMPY_FREE))
@@ -429,26 +427,31 @@ def test_command_runs_without_numpy(store_dir, kinship_paths, tmp_path, command)
         argv += ["--store", str(store)]
     src = str(Path(qcorolla.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True,
-                          text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "qcorolla.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
     assert done.returncode == (1 if command in NUMPY_FREE_EXIT_1 else 0), done.stderr
-    *diagnostics, probe = done.stderr.splitlines()
-    assert probe == "numpy not loaded"
+    imported, diagnostics = set(), []
+    for line in done.stderr.splitlines():  # "import time: self | cumulative | name", one per module loaded
+        if line.startswith("import time:"):
+            imported.add(line.rsplit("|", 1)[1].strip())
+        else:
+            diagnostics.append(line)
+    assert "qcorolla.errors" in imported and not imported & HEAVY, imported & HEAVY
     if command in NUMPY_FREE_EXIT_1:
         assert diagnostics == [NUMPY_FREE_EXIT_1[command]]
 
 
 # commands with their arguments, and the layers each must not load because it does not run them
 UNLOADED = {
-    "bind --xor": (["deadbeef", "cafebabe"], {"qcorolla.store", "qcorolla.corolla", "qcorolla.qusym"}),
-    "bind --tensor": (["deadbeef", "cafebabe"], {"qcorolla.store", "qcorolla.corolla", "qcorolla.qusym"}),
-    "round": (["--vector", "0.9,0.1,0.05", "--vocab", "{vocab}"], {"qcorolla.store", "qcorolla.corolla"}),
+    "bind --xor": (["deadbeef", "cafebabe"], {"qcorolla.store", "qcorolla.corolla", "qcorolla.qusym", "json"}),
+    "bind --tensor": (["deadbeef", "cafebabe"], {"qcorolla.store", "qcorolla.corolla", "qcorolla.qusym", "json"}),
+    "round": (["--vector", "0.9,0.1,0.05", "--vocab", "{vocab}"], {"qcorolla.store", "qcorolla.corolla", "json"}),
 }
 
 _LAYER_PROBE = """import sys
 from qcorolla.cli import cli_dispatch
 code = cli_dispatch(sys.argv[1:])
-print(*sorted(name for name in sys.modules if name.startswith("qcorolla.")), file=sys.stderr)
+print(*sorted(sys.modules), file=sys.stderr)
 sys.exit(code)
 """
 

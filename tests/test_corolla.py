@@ -1,7 +1,5 @@
 """Graph layer: converse registry, corollas, joining, involution laws."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +10,7 @@ from qcorolla.corolla import (
     BACKWARD,
     FORWARD,
     ConverseRegistry,
+    Corolla,
     CorollaGraph,
     DirectedPredicate,
     converse_statement,
@@ -416,9 +415,9 @@ def test_validate_flags_corrupted_weight():
         tid = graph.triple_id_of(("person:Bob", "kin:ParentOf", "person:Alice"))
         half_edge_id = graph._triples[int(tid[1:]) - 1][side]
         corolla = graph._half_edges[half_edge_id - 1]
-        graph._half_edges[half_edge_id - 1] = dataclasses.replace(
-            corolla, predicate=dataclasses.replace(corolla.predicate, **{name: value})
-        )
+        fields = {"name": corolla.predicate.name, "half_weight": corolla.predicate.half_weight,
+                  "direction": corolla.predicate.direction, name: value}
+        graph._half_edges[half_edge_id - 1] = Corolla(corolla.node, DirectedPredicate(**fields), half_edge_id)
         assert graph.validate().lines() == [f"edge {tid}: {finding}" for finding in findings]
 
 

@@ -270,6 +270,28 @@ def test_one_line_commands_read_only_their_own_line(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["statement"] == ["person:Bob", "kin:HusbandOf", "person:Mary"]
 
 
+# (vocabulary.txt, triples line 1, stderr) of a store whose line 1 names an entry that is not a token
+NAMED_ENTRY_FAULTS = {
+    "object": ("person:Bob\nAlice\nperson:Mary\n", "person:Bob kin:ParentOf Alice .",
+               "error: line 2, column 1: vocabulary entry 'Alice' is not a namespaced symbol\n"),
+    # both are bad: the first in vocabulary line order is named, as validate names it
+    "both, in vocabulary line order": ("Bob\nAlice\nperson:Mary\n", "Alice kin:ParentOf Bob .",
+                                       "error: line 1, column 1: vocabulary entry 'Bob' is not a namespaced symbol\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_ENTRY_FAULTS))
+def test_one_line_commands_check_the_vocabulary_entries_their_line_names(tmp_path, capsys, case):
+    vocabulary, line, expected = NAMED_ENTRY_FAULTS[case]
+    save_snapshot(build_kinship_graph(), tmp_path)
+    rewrite_with_crc(tmp_path, "vocabulary.txt", vocabulary)
+    rewrite_with_crc(tmp_path, "triples.nt", f"{line}\nperson:Bob kin:HusbandOf person:Mary .\n")
+    store_ = ["--store", str(tmp_path)]
+    for argv in (["validate"], ["entangle", "t1"], ["measure", "t1"], ["entropy", "--triple", "t1"]):
+        assert cli_dispatch(argv + store_) == 1, argv
+        assert capsys.readouterr() == ("", expected), argv
+
+
 # --- one writer: make_corolla and join ---------------------------------------------------
 
 def assert_one_int_object_per_half_edge(graph):
@@ -605,7 +627,7 @@ def test_triple_commands_build_no_graph_and_no_vocabulary(kinship_paths, tmp_pat
         raise AssertionError("built a graph or a vocabulary")
 
     monkeypatch.setattr(CorollaGraph, "__init__", refuse)
-    monkeypatch.setattr(Vocabulary, "__post_init__", refuse)
+    monkeypatch.setattr(Vocabulary, "__init__", refuse)
     for name, argv in commands.items():
         assert cli_dispatch(argv) == 0, name
         assert capsys.readouterr().out == expected[name]
