@@ -23,7 +23,6 @@ byte-identical. Triple ``tK`` is line K of the triples file.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import zlib
@@ -31,12 +30,16 @@ from json.encoder import encode_basestring_ascii as quote  # how json.dumps quot
 from pathlib import Path
 from typing import Container, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
-from .corolla import (
+from .corolla import (  # the query API (query_node and its views) lives beside the id lists it reads
     ConverseRegistry,
     CorollaGraph,
+    CorollaView,
+    NodeReport,
+    _CollectorPaused,
     converse_statement,
     load_registry,
     parse_registry,
+    query_node,
     triple_number,
 )
 from .errors import (
@@ -159,21 +162,6 @@ class IngestResult(NamedTuple):
     folded: int
 
 
-class _CollectorPaused:
-    """Pauses the cyclic GC while a graph grows: its objects hold no cycles to free.
-    Not a ``contextlib.contextmanager``, whose exit allocates once the GC is back on and
-    so runs the collection then owed inside the build: at 10^5 edges that made
-    ``load_snapshot`` take 1.31 s instead of 1.18 s (8 alternating in-process runs)."""
-
-    def __enter__(self):
-        self.collecting = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, exc_type, exc, traceback):
-        if self.collecting:
-            gc.enable()
-
-
 def _column(statement: Statement, index: int) -> int | None:
     return statement.columns[index] if statement.columns else None
 
@@ -229,54 +217,6 @@ def ingest(
     vocabulary = load_vocabulary(voc_path)
     registry = load_registry(registry_path)
     return ingest_document(vocabulary, registry, load_triples(triples_path))
-
-
-# -- queries -----------------------------------------------------------------
-
-
-class CorollaView(NamedTuple):
-    """One half-edge of a node, with its pairing if joined (an immutable named tuple)."""
-
-    predicate: str
-    direction: str
-    half_weight: float
-    partner: str | None
-    triple_id: str | None
-
-
-class NodeReport(NamedTuple):
-    symbol: str
-    corollas: Tuple[CorollaView, ...]
-    readings: Tuple[Tuple[str, str, str], ...]  # forward and converse of each triple
-
-    def lines(self) -> List[str]:
-        out = [f"node {self.symbol}: {len(self.corollas)} corolla(s)"]
-        for view in self.corollas:
-            pairing = f" -> {view.partner} [{view.triple_id}]" if view.partner else " (unpaired)"
-            out.append(
-                f"  ({self.symbol}, {view.predicate}) half-weight {view.half_weight:+g}{pairing}"
-            )
-        for s, p, o in self.readings:
-            out.append(f"  {s} {p} {o} .")
-        return out
-
-
-def query_node(graph: CorollaGraph, symbol: str) -> NodeReport:
-    """Owned corollas in id order, their partners, and both orientations of each triple."""
-    views = []
-    readings = []  # forward then converse reading of each triple, at its first half-edge
-    for corolla, triple_id, forward, backward in graph.walk_half_edges(symbol):
-        predicate = corolla.predicate
-        partner = None
-        if triple_id is not None:
-            other = backward if corolla is forward else forward
-            partner = other.node
-            # both half-edges of a self-loop are the node's: read its triple at the lower id
-            if partner != symbol or corolla.half_edge_id < other.half_edge_id:
-                s, o = forward.node, backward.node
-                readings += ((s, forward.predicate.name, o), (o, backward.predicate.name, s))
-        views.append(CorollaView(predicate.name, predicate.direction, predicate.half_weight, partner, triple_id))
-    return NodeReport(symbol=symbol, corollas=tuple(views), readings=tuple(readings))
 
 
 # -- export -------------------------------------------------------------------

@@ -21,6 +21,7 @@ from qcorolla.errors import (
     MissingTerminatorError,
     QcorollaError,
     SnapshotError,
+    UnknownNodeError,
     UnknownNodeSymbolError,
     UnknownPredicateError,
     UnknownTripleError,
@@ -34,6 +35,7 @@ from qcorolla.store import (
     load_triples,
     open_snapshot,
     parse_triples_text,
+    query_node,
     read_triple,
     save_snapshot,
 )
@@ -332,6 +334,62 @@ def test_load_and_ingest_pause_the_collector_while_joining(kinship_paths, tmp_pa
     save_snapshot(ingest(*kinship_paths).graph, tmp_path)
     load_snapshot(tmp_path)
     assert collecting == [False] * 4 and gc.isenabled()
+
+
+def collections_started(call):
+    """How many collections start during ``call()`` at threshold 1, where every other new tracked object starts one."""
+    started = []
+
+    def count(phase, _info):
+        if phase == "start":
+            started.append(phase)
+
+    threshold = gc.get_threshold()
+    gc.collect()  # zeroes the allocation count, so each call starts from the same state
+    gc.callbacks.append(count)
+    gc.set_threshold(1)
+    try:
+        call()
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(count)
+    return len(started)
+
+
+def hub_and_leaf():
+    """A random graph, its node of highest degree and a node given one paired corolla."""
+    graph = build_random_graph(300, seed=3)
+    hub = max(graph.nodes(), key=lambda node: len(query_node(graph, node).corollas))
+    leaf = next(symbol for symbol in graph.node_vocabulary.entries if symbol not in graph.nodes())
+    other = next(node for node in graph.nodes() if node != hub)
+    graph.join(graph.make_corolla(leaf, "rel:F00"), graph.make_corolla(other, "rel:B00"))
+    return graph, hub, leaf
+
+
+def test_query_starts_no_more_collections_on_a_hub_than_on_a_leaf():
+    graph, hub, leaf = hub_and_leaf()
+    assert len(query_node(graph, hub).corollas) == 12 and len(query_node(graph, leaf).corollas) == 1
+    # the report is built with the collector paused, so its tuples set off no collection
+    hub_collections = collections_started(lambda: query_node(graph, hub))
+    assert hub_collections <= collections_started(lambda: query_node(graph, leaf))
+
+
+def test_query_leaves_the_collector_as_it_found_it():
+    graph, hub, _ = hub_and_leaf()
+    query_node(graph, hub)
+    assert gc.isenabled()
+    with pytest.raises(UnknownNodeError):
+        query_node(graph, "ns:Zed")
+    assert gc.isenabled()
+    gc.disable()  # as cli.main runs every command
+    try:
+        query_node(graph, hub)
+        assert not gc.isenabled()
+        with pytest.raises(UnknownNodeError):
+            query_node(graph, "ns:Zed")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_ingest_fault_leaves_the_collector_enabled(kinship_paths):

@@ -486,7 +486,7 @@ def test_query_self_loop_made_backward_first_reads_triple_at_lower_id():
     assert report.readings == (
         ("a:Y", "r:F", "a:X"), ("a:X", "r:B", "a:Y"), ("a:X", "r:F", "a:X"), ("a:X", "r:B", "a:X"),
     )
-    assert query_node(graph, "a:X").lines() == scan_and_sort_query_node(graph, "a:X").lines()
+    assert_query_matches_scan(graph)
 
 
 def test_corolla_view_is_an_immutable_value():
@@ -535,9 +535,12 @@ def scan_and_sort_query_node(graph, symbol):
 
 
 def assert_query_matches_scan(graph):
+    """Whole reports compared, views and readings, not only the lines they print, which
+    leave out ``direction`` and print ``half_weight`` rounded."""
     for node in graph.nodes():
-        expected = scan_and_sort_query_node(graph, node)
-        assert query_node(graph, node).lines() == expected.lines()
+        report = query_node(graph, node)
+        assert report == scan_and_sort_query_node(graph, node)
+        assert all(type(view) is CorollaView for view in report.corollas)
 
 
 @settings(max_examples=20, deadline=None)
