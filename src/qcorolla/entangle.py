@@ -12,8 +12,8 @@ tessellated rounding of noisy vectors onto a vocabulary basis.
 
 Every draw comes from a generator seeded per call with the caller's seed;
 there is no global generator state. A ``JointState`` is sampled by
-``pcg64.multinomial``, a plain-Python port of numpy's PCG64 binomial
-stream, so its counts equal those of ``numpy.random.default_rng(seed)``
+``pcg64.multinomial``, a plain-Python port of numpy's PCG64 multinomial
+sampler, so its counts equal those of ``numpy.random.default_rng(seed)``
 on the dense state. Synthesis, entropy, joint-state sampling and rounding
 are plain Python: numpy and ``qla`` are imported only by the functions that
 build or sample dense vectors.
@@ -108,7 +108,9 @@ class JointState:
         """The dense joint state over all ``d_L·d_R`` basis products.
 
         A dense reference, d_L·d_R amplitudes in memory, that no CLI command or
-        script reaches: they read the two Schmidt terms of ``support``.
+        script reaches: they read the two Schmidt terms of ``support``. The
+        amplitudes are written once: the array built here is frozen and handed
+        to ``StateVector``, which keeps it rather than copying it.
         """
         import numpy as np
 
@@ -117,6 +119,7 @@ class JointState:
         amps = np.zeros(self.dims[0] * self.dims[1], dtype=complex)
         for index, amplitude in self.support():
             amps[index] = amplitude
+        amps.setflags(write=False)
         return StateVector(amps)
 
 
@@ -262,13 +265,21 @@ def map_triple_pattern(pattern: str, config: Mapping[str, str] | None = None) ->
 def measure(state: StateVector | JointState, shots: int, seed: int) -> MeasurementRecord:
     """Sample ``shots`` independent outcomes with probabilities |a_i|².
 
+    The counts are those of ``numpy.random.default_rng(seed).multinomial``
+    over the dense probabilities normalized by their sum, for every shot
+    count up to ``MAX_SHOTS``. numpy's sampler draws a binomial for each
+    category but the last in turn, draws nothing for a category of
+    probability 0, and puts whatever is left on the last category, which can
+    hold counts at a probability of 0. So both paths sample only the nonzero
+    categories plus the last index, and get the full vector's counts.
+
     A ``JointState`` is sampled from its two Schmidt terms, outcomes being
-    flat indices ``i·d_R + j``, without numpy: its counts equal those
-    numpy's multinomial draws from its dense ``state`` for the same seed.
-    Identical seeds give identical records. Only outcomes that occurred
-    appear in ``counts``. A negative seed raises ``ValueError``. A
-    ``StateVector`` is sampled by numpy over all its amplitudes, d² of them for
-    a joint state: a dense reference that no CLI command or script reaches.
+    flat indices ``i·d_R + j`` and the last one ``d_L·d_R − 1``, without
+    numpy, through ``pcg64.multinomial``. A ``StateVector`` is sampled by
+    numpy: a dense reference, d² amplitudes for a joint state, that no CLI
+    command or script reaches. Identical seeds give identical records. Only
+    outcomes that occurred appear in ``counts``. A negative seed raises
+    ``ValueError``.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
@@ -277,17 +288,24 @@ def measure(state: StateVector | JointState, shots: int, seed: int) -> Measureme
 
         (first, a), (second, b) = state.support()
         # the probabilities normalized as numpy normalizes them on the dense path
-        hits = multinomial(seed, shots, a * a / (a * a + b * b))
-        counts = {outcome: n for outcome, n in zip((first, second), hits) if n}
+        total = a * a + b * b
+        outcomes, probs = [first, second], [a * a / total, b * b / total]
+        last = state.dims[0] * state.dims[1] - 1
+        if second != last:
+            outcomes.append(last)
+            probs.append(0.0)
+        hits = multinomial(seed, shots, probs)
+        counts = {outcome: n for outcome, n in zip(outcomes, hits) if n}
         return MeasurementRecord(shots=shots, counts=counts, seed=seed)
     import numpy as np
 
     probs = state.probabilities()
-    outcomes = range(probs.size)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    counts = {outcomes[k]: int(draws[k]) for k in np.flatnonzero(draws)}
+    total = probs.sum()
+    keep = np.flatnonzero(probs)  # never empty: the state's norm is 1
+    if keep[-1] != probs.size - 1:
+        keep = np.append(keep, probs.size - 1)
+    draws = np.random.default_rng(seed).multinomial(shots, probs[keep] / total)
+    counts = {int(keep[k]): int(draws[k]) for k in np.flatnonzero(draws)}
     return MeasurementRecord(shots=shots, counts=counts, seed=seed)
 
 

@@ -1,13 +1,15 @@
-"""numpy's seeded two-outcome multinomial, in plain Python.
+"""numpy's seeded multinomial, in plain Python.
 
-``multinomial(seed, shots, p)`` returns exactly what
-``numpy.random.default_rng(seed).multinomial(shots, [p, 1 - p])`` returns,
+``multinomial(seed, shots, probs)`` returns exactly what
+``numpy.random.default_rng(seed).multinomial(shots, probs)`` returns,
 without importing numpy. It reproduces, step by step and in the same
 floating-point operations, numpy's ``SeedSequence`` hashing of a
 non-negative int seed, the PCG64 generator (O'Neill 2014, XSL-RR output
-of a 128-bit LCG), and numpy's ``random_binomial``: inversion when the mean
-is at most 30, else BTPE (Kachitvichyanukul & Schmeiser, CACM 31(2), 1988).
-The first count is binomial(shots, p) and the second is the rest.
+of a 128-bit LCG), numpy's ``random_binomial``: inversion when the mean
+is at most 30, else BTPE (Kachitvichyanukul & Schmeiser, CACM 31(2), 1988),
+and numpy's ``random_multinomial``, the conditional-binomial method: each
+category but the last draws binomial(rest, p / remaining p) in turn, and
+whatever is left goes to the last category.
 
 C's int64 arithmetic is emulated where it can overflow (``_int64``).
 ``entangle.measure`` samples a two-term joint state through ``multinomial``;
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Tuple
+from typing import List, Sequence
 
 MASK32 = (1 << 32) - 1
 MASK64 = (1 << 64) - 1
@@ -197,11 +199,31 @@ def binomial(rng: PCG64, n: int, p: float) -> int:
     if p <= 0.5:
         return _inversion(rng, n, p) if p * n <= 30.0 else _btpe(rng, n, p)
     q = 1.0 - p
+    if q < 0.0:
+        # p / remaining p rounded above 1: numpy inverts at q < 0, where the mass at 0, (1 - q)**n,
+        # is at least 1, so its one uniform returns 0 (math's sqrt and exp would raise there)
+        rng.next_double()
+        return n
     return n - (_inversion(rng, n, q) if q * n <= 30.0 else _btpe(rng, n, q))
 
 
-def multinomial(seed: int, shots: int, p: float) -> Tuple[int, int]:
-    """``default_rng(seed).multinomial(shots, [p, 1 - p])`` as a pair of ints,
-    for 0 <= p <= 1 and 0 <= shots < 2**63; a negative seed raises ``ValueError``."""
-    first = binomial(PCG64(seed), shots, p)
-    return first, shots - first
+def multinomial(seed: int, shots: int, probs: Sequence[float]) -> List[int]:
+    """``default_rng(seed).multinomial(shots, probs)`` as a list of ints, for
+    probabilities that sum to 1 and 0 <= shots < 2**63; a negative seed raises
+    ``ValueError``.
+
+    numpy's ``random_multinomial``: a category of probability 0 draws nothing
+    and leaves the remaining probability as it was, and the last category
+    takes what the others leave, whatever its probability.
+    """
+    rng = PCG64(seed)
+    counts = [0] * len(probs)
+    left, remaining = shots, 1.0
+    for k, p in enumerate(probs[:-1]):
+        counts[k] = binomial(rng, left, p / remaining)
+        left -= counts[k]
+        if left <= 0:
+            break
+        remaining -= p
+    counts[-1] = left
+    return counts

@@ -3,7 +3,12 @@
 State vectors, density matrices, tensor products, partial traces, Schmidt
 decompositions, and entropy functionals with a configurable logarithm base.
 All containers are immutable after construction and every operation is a
-pure function, so unrestricted parallel use is safe.
+pure function, so unrestricted parallel use is safe. A container holds a
+read-only array. It copies what it is given, except a read-only ndarray of
+its dtype that owns its data: that array is shared with the caller, not
+copied, and handing it over is a promise not to write to it again.
+``basis_state``, ``make_state``, ``outer`` and ``mix`` hand over the fresh
+arrays they build that way.
 
 Conventions:
 
@@ -40,7 +45,23 @@ FIDELITY_TOL = 1e-9
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
+    """``values`` as a read-only ndarray of ``dtype``.
+
+    A read-only ndarray of that dtype that owns its data is returned as is,
+    not copied: the caller hands it over. Anything else, a list, a writeable
+    array or a view of another array, is copied and the copy frozen, so a
+    later write to the caller's array never reaches the result.
+    """
+    if (type(values) is np.ndarray and values.dtype == dtype
+            and values.flags.owndata and not values.flags.writeable):
+        return values
     arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A builder's fresh array, made read-only so ``_frozen_array`` keeps it."""
     arr.setflags(write=False)
     return arr
 
@@ -59,7 +80,8 @@ class StateVector:
         amps = _frozen_array(self.amplitudes, complex)
         if amps.ndim != 1 or amps.size < 1:
             raise EmptyVectorError("state vector needs at least one amplitude")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        # one pass and no temporaries; NaN and inf still fail the check below
+        norm_sq = float(np.vdot(amps, amps).real)
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector not normalized: sum |a|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", amps)
@@ -153,7 +175,7 @@ def make_state(amplitudes: Sequence[complex] | np.ndarray) -> StateVector:
         raise ZeroVectorError("cannot normalize the zero vector")
     # part by part: a complex division multiplies by 1/scale, which is inf for a subnormal scale
     amps = amps.real / scale + 1j * (amps.imag / scale)
-    return StateVector(amps / np.linalg.norm(amps))
+    return StateVector(_frozen(amps / np.linalg.norm(amps)))
 
 
 def basis_state(dim: int, index: int) -> StateVector:
@@ -162,7 +184,7 @@ def basis_state(dim: int, index: int) -> StateVector:
         raise DimensionMismatchError(f"basis index {index} out of range for dim {dim}")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
-    return StateVector(amps)
+    return StateVector(_frozen(amps))
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -172,7 +194,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 def outer(state: StateVector) -> DensityMatrix:
     """Rank-1 projector |ψ⟩⟨ψ| onto a pure state."""
-    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()))
+    return DensityMatrix(_frozen(np.outer(state.amplitudes, state.amplitudes.conj())))
 
 
 def mix(ensemble: Iterable[Tuple[float, StateVector]]) -> DensityMatrix:
@@ -197,7 +219,7 @@ def mix(ensemble: Iterable[Tuple[float, StateVector]]) -> DensityMatrix:
     rho = np.zeros((dim, dim), dtype=complex)
     for p, state in items:
         rho += (p / total) * np.outer(state.amplitudes, state.amplitudes.conj())
-    return DensityMatrix(rho)
+    return DensityMatrix(_frozen(rho))
 
 
 def _split_dims(total: int, dims: Tuple[int, int]) -> Tuple[int, int]:

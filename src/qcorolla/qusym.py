@@ -189,7 +189,7 @@ def qusym_ensemble(voc: Vocabulary, weights: Mapping[str, float]) -> DensityMatr
     """
     import numpy as np
 
-    from .qla import NORM_TOL, DensityMatrix
+    from .qla import NORM_TOL, DensityMatrix, _frozen
 
     probs = np.zeros(voc.d, dtype=float)
     for symbol, p in weights.items():
@@ -199,7 +199,7 @@ def qusym_ensemble(voc: Vocabulary, weights: Mapping[str, float]) -> DensityMatr
     total = float(np.sum(probs))
     if not abs(total - 1.0) <= NORM_TOL:
         raise ProbabilityMismatchError(f"weights sum to {total!r}, expected 1")
-    return DensityMatrix(np.diag(probs / total).astype(complex))
+    return DensityMatrix(_frozen(np.diag(probs / total).astype(complex)))
 
 
 def log_of_base(base: float) -> float:

@@ -254,11 +254,67 @@ def test_measure_entanglement_matches_numpy_shannon_entropy(base):
 
 
 def test_measure_joint_matches_dense_oracle():
+    # at large shot counts numpy can leave a rest on the last flat index, off the two terms' support
     rng = np.random.default_rng(61)
     for trial, lam in enumerate(oracle_lambdas(rng, 600)):
         joint = random_joint(rng, lam)
-        shots = int(rng.integers(1, 200_000))
-        assert measure(joint, shots, seed=trial) == measure(joint.state, shots, seed=trial)
+        for shots in (int(rng.integers(1, 200_000)), 10**14, 10**15, 10**17, 2**62):
+            assert measure(joint, shots, seed=trial) == measure(joint.state, shots, seed=trial), (trial, shots)
+
+
+def full_vector_counts(state, shots: int, seed: int) -> dict:
+    """numpy's multinomial over every category of a dense state, the reference for ``measure``'s
+    draw over the nonzero categories and the last index."""
+    probs = state.probabilities()
+    draws = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    return {int(k): int(draws[k]) for k in np.flatnonzero(draws)}
+
+
+ORACLE_SHOTS = (1, 7, 10**3, 10**6, 10**12, 10**15)
+
+
+def sparse_states(rng, count):
+    """Dense states of 1 to 300 amplitudes with 1 to 6 nonzero, half of them nonzero at the last
+    index; a third of those with two or more hold one amplitude of 1e-170, whose |a|² underflows to 0."""
+    for _ in range(count):
+        d = int(rng.integers(1, 301))
+        k = int(rng.integers(1, min(d, 6) + 1))
+        if rng.uniform() < 0.5:
+            support = [*rng.choice(d - 1, k - 1, replace=False), d - 1]
+        else:
+            support = list(rng.choice(d, k, replace=False))
+        amps = np.zeros(d, dtype=complex)
+        amps[support] = rng.normal(size=k) + 1j * rng.normal(size=k)
+        if k > 1 and rng.uniform() < 1 / 3:
+            amps[support[int(rng.integers(k))]] = 1e-170
+        yield make_state(amps)
+
+
+def test_measure_dense_matches_the_full_vector_draw():
+    rng = np.random.default_rng(83)
+    underflowed = leftovers = 0
+    for state in sparse_states(rng, 2_000):
+        probs = state.probabilities()
+        underflowed += bool(np.any((probs == 0) & (state.amplitudes != 0)))
+        for shots in ORACLE_SHOTS:
+            seed = int(rng.integers(2**32))
+            expected = full_vector_counts(state, shots, seed)
+            assert measure(state, shots, seed).counts == expected, (state.dim, shots, seed)
+            leftovers += any(probs[k] == 0 for k in expected)
+    # the table reaches both cases the narrowed draw must keep: a count numpy leaves on a
+    # zero-probability last index, and a nonzero amplitude whose probability is 0
+    assert underflowed > 0 and leftovers > 0
+
+
+def test_measure_dense_joint_states_match_the_full_vector_draw():
+    # shaped like the entangle_wide benchmark's states: d = 128, default support, weights 0, 1 or between
+    rng = np.random.default_rng(89)
+    for trial in range(200):
+        weight = (0.0, 1.0, float(rng.uniform()))[trial % 3]
+        subject, obj = (int(i) for i in rng.integers(128, size=2))
+        state = triple_joint_state(128, subject, obj, weight).state
+        for shots in (10_000, *ORACLE_SHOTS):
+            assert measure(state, shots, trial).counts == full_vector_counts(state, shots, trial), (trial, shots)
 
 
 def test_joint_state_support_matches_dense_amplitudes():

@@ -14,7 +14,9 @@ from qcorolla.errors import (
     ProbabilityMismatchError,
     ZeroVectorError,
 )
+from qcorolla.entangle import triple_joint_state
 from qcorolla.qla import (
+    NORM_TOL,
     DensityMatrix,
     SchmidtDecomposition,
     StateVector,
@@ -386,3 +388,70 @@ def test_entropy_base_must_be_finite_and_above_one(base):
         von_neumann_entropy(outer(BELL), base=base)
     with pytest.raises(ValueError, match="finite number above 1"):
         uniform_entropy(4, base=base)
+
+
+# --- hand-over of read-only arrays ------------------------------------------------
+
+def test_a_writeable_input_is_copied():
+    arr = np.array([1.0, 0.0], dtype=complex)
+    state = StateVector(arr)
+    arr[:] = [0.0, 1.0]
+    assert state.amplitudes is not arr
+    assert state.amplitudes.tolist() == [1.0, 0.0]
+
+
+def test_a_read_only_view_is_copied():
+    base = np.array([1.0, 0.0, 0.0], dtype=complex)
+    view = base[:2]
+    view.setflags(write=False)
+    state = StateVector(view)
+    base[:2] = [0.0, 1.0]
+    assert state.amplitudes is not view
+    assert state.amplitudes.tolist() == [1.0, 0.0]
+
+
+def test_a_read_only_array_of_another_dtype_is_copied():
+    arr = np.array([0.6, 0.8])
+    arr.setflags(write=False)
+    state = StateVector(arr)
+    assert state.amplitudes is not arr
+    assert state.amplitudes.dtype == complex
+
+
+def test_a_read_only_array_that_owns_its_data_is_kept():
+    arr = np.array([0.6, 0.8j])
+    arr.setflags(write=False)
+    assert StateVector(arr).amplitudes is arr
+    mat = np.diag([0.5, 0.5]).astype(complex)
+    mat.setflags(write=False)
+    assert DensityMatrix(mat).entries is mat
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StateVector(np.array([1.0, 0.0], dtype=complex)).amplitudes,
+        lambda: StateVector([0.6, 0.8]).amplitudes,
+        lambda: basis_state(3, 1).amplitudes,
+        lambda: make_state([1, 2j, 3]).amplitudes,
+        lambda: tensor(BELL, ASYMMETRIC).amplitudes,
+        lambda: triple_joint_state(8, 2, 5, 0.4).state.amplitudes,
+        lambda: outer(BELL).entries,
+        lambda: mix([(0.5, BELL), (0.5, ASYMMETRIC)]).entries,
+        lambda: qusym_ensemble(vocabulary_from_symbols(["a:A", "a:B"]), {"a:A": 0.5, "a:B": 0.5}).entries,
+    ],
+    ids=["writeable", "list", "basis_state", "make_state", "tensor", "joint state", "outer", "mix", "ensemble"],
+)
+def test_every_container_holds_a_read_only_array(build):
+    arr = build()
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0] = 0.0
+
+
+def test_the_norm_check_keeps_its_tolerance_and_message():
+    StateVector([math.sqrt(1.0 + NORM_TOL / 2), 0.0])
+    StateVector([math.sqrt(1.0 - NORM_TOL / 2), 0.0])
+    for bad in (math.sqrt(1.0 + 2 * NORM_TOL), math.sqrt(1.0 - 2 * NORM_TOL), NAN, math.inf):
+        with pytest.raises(ValueError, match=r"^state vector not normalized: sum \|a\|\^2 = "):
+            StateVector([bad, 0.0])
