@@ -1,5 +1,8 @@
 """Graph layer: converse registry, corollas, joining, involution laws."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,15 +90,30 @@ def test_registry_degenerate_zero_weight_accepted():
     assert registry.directed("x:F").half_weight == 0.0
 
 
-# halving is exact for every non-subnormal double, so the ledger identities
-# hold with == rather than a tolerance
-@given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_subnormal=False))
+# halving is exact whenever the half is still a normal double, i.e. for 0 and
+# every weight from twice the smallest normal up, so there the ledger
+# identities hold with == rather than a tolerance
+@given(st.just(0.0) | st.floats(min_value=2 * sys.float_info.min, max_value=1.0))
 def test_half_weights_cancel_exactly(weight):
     registry = ConverseRegistry()
     registry.register_converse("x:F", "x:B", weight)
     fwd, bwd = registry.directed("x:F"), registry.directed("x:B")
     assert fwd.half_weight + bwd.half_weight == 0.0
     assert abs(fwd.half_weight) + abs(bwd.half_weight) == weight
+
+
+# below twice the smallest normal the half is subnormal: halving an odd
+# multiple of the subnormal step rounds, and no double doubles back to the
+# weight, so the moduli miss it by exactly one step while the signs still cancel
+@given(st.floats(min_value=0.0, max_value=2 * sys.float_info.min, exclude_max=True))
+def test_half_weights_round_by_one_step_below_twice_smallest_normal(weight):
+    registry = ConverseRegistry()
+    registry.register_converse("x:F", "x:B", weight)
+    fwd, bwd = registry.directed("x:F"), registry.directed("x:B")
+    assert fwd.half_weight + bwd.half_weight == 0.0
+    step = math.ulp(0.0)
+    miss = abs(fwd.half_weight) + abs(bwd.half_weight) - weight
+    assert abs(miss) == (step if int(weight / step) % 2 else 0.0)
 
 
 # registered weights span [0, 1], both ends included
