@@ -12,8 +12,8 @@ triple (subject, forward predicate, object) with the positive corolla as
 subject.
 
 Concurrency: mutating operations (``register_converse``, ``add_node``,
-``make_corolla``, ``join``) require exclusive access; queries are safe
-concurrently between mutations.
+``make_corolla``, ``join``, ``add_edge``) require exclusive access; queries
+are safe concurrently between mutations.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class ConverseRegistry:
 
     def directed(self, name: str) -> DirectedPredicate:
         """The signed directed predicate for either name of a pair, one object per name."""
-        try:  # _entry inlined: ingest calls this once per corolla
+        try:  # _entry inlined: make_corolla calls this once per corolla
             return self._pairs[name][0]
         except KeyError:
             raise UnknownPredicateError(f"predicate {name!r} not registered") from None
@@ -220,13 +220,16 @@ class CorollaGraph:
     ``_half_edges[h - 1]`` is half-edge h's Corolla, ``_edge_of[h - 1]`` its
     edge record or None while it is unpaired, and ``_triples[K - 1]`` the
     edge record of ``tK``. An edge record is one tuple (triple id, forward
-    id, backward id) made by ``join`` and shared by both half-edges and the
-    triple list, so each pairing is stored once and the involution is read
-    from it. ``_owned`` maps a node symbol to its half-edge ids, ascending,
-    and ``_triple_keys`` an (s, p, o) to its triple id. Only ``make_corolla``
-    (with ``add_node``) and ``join`` write the indexes; ``query_node`` reads
-    ``_owned``, ``_half_edges`` and ``_edge_of`` directly. Mutations cost
-    O(1); ``walk_half_edges``, ``corollas_of`` and ``query_node`` O(degree).
+    id, backward id) made by ``join`` or ``add_edge`` and shared by both
+    half-edges and the triple list, so each pairing is stored once and the
+    involution is read from it. ``_owned`` maps a node symbol to its
+    half-edge ids, ascending, and ``_triple_keys`` an (s, p, o) to its triple
+    id. Only ``make_corolla`` (with ``add_node``), ``join`` and ``add_edge``
+    write the indexes; ``add_edge`` writes, in one step, what ``join`` of two
+    fresh ``make_corolla`` results writes, and is what the store's ingest and
+    snapshot load call per edge. ``query_node`` reads ``_owned``,
+    ``_half_edges`` and ``_edge_of`` directly. Mutations cost O(1);
+    ``walk_half_edges``, ``corollas_of`` and ``query_node`` O(degree).
 
     Single-writer / multi-reader: mutations need exclusive access.
     """
@@ -349,6 +352,54 @@ class CorollaGraph:
         triple_keys[key] = triple_id
         return triple_id
 
+    def add_edge(self, subject: str, forward_predicate: str, object: str) -> str:
+        """Add the edge (subject, forward predicate, object); returns its triple id.
+
+        Builds what ``join(make_corolla(subject, p), make_corolla(object,
+        converse of p))`` builds, index by index, in one step: one registry
+        lookup, a vocabulary check for a node new to the graph, one key
+        check. A call with one fault raises what that sequence raises; with
+        several, the first of: an unregistered predicate, a backward name,
+        the subject's symbol missing from the vocabulary, the object's, a
+        repeated (s, p, o). Every check runs before any index is written, so
+        a call that raises leaves the graph as it was.
+        """
+        entry = self.registry._pairs.get(forward_predicate)
+        if entry is None:
+            raise UnknownPredicateError(f"predicate {forward_predicate!r} not registered")
+        forward, backward, _ = entry
+        if forward.direction != FORWARD:
+            raise WrongOrientationError(
+                f"swapped sides: {backward.name!r} is the forward predicate and must come first"
+            )
+        owned = self._owned
+        subject_ids, object_ids = owned.get(subject), owned.get(object)
+        if subject_ids is None or object_ids is None:  # a node new to the graph must be in the vocabulary
+            for symbol in (subject, object):
+                if symbol not in owned and symbol not in self.node_vocabulary:
+                    raise UnknownNodeSymbolError(f"node symbol {symbol!r} not in vocabulary")
+        key = (subject, forward.name, object)  # the registry's own string, as join keys it
+        triple_keys = self._triple_keys
+        if key in triple_keys:
+            raise AlreadyPairedError(f"triple {key} already present as {triple_keys[key]}")
+
+        half_edges, edge_of, triples = self._half_edges, self._edge_of, self._triples
+        left_id = len(half_edges) + 1  # one int object per id for the Corolla and every index
+        right_id = left_id + 1
+        half_edges += (Corolla(subject, forward, left_id), Corolla(object, backward, right_id))
+        triple_id = f"t{len(triples) + 1}"
+        edge = (triple_id, left_id, right_id)
+        edge_of += (edge, edge)
+        triples.append(edge)
+        triple_keys[key] = triple_id
+        if subject_ids is None:
+            subject_ids = owned[subject] = []
+        subject_ids.append(left_id)
+        if object_ids is None:  # a new node; a self-loop's subject added it just now
+            object_ids = owned.setdefault(object, [])
+        object_ids.append(right_id)
+        return triple_id
+
     # -- triples -----------------------------------------------------------
 
     def triple(self, triple_id: str) -> Triple:
@@ -386,13 +437,13 @@ class CorollaGraph:
         exactly and their moduli sum to the registered total within
         ``WEIGHT_TOL``. Weight-0 edges are flagged as inert warnings.
 
-        A graph whose indexes only ``make_corolla`` and ``join`` wrote, and whose
-        every corolla was joined, passes every check: each edge pairs two fresh
-        converse corollas carrying +p/2 and -p/2. So ``store.ingest_document``
-        and ``store.load_snapshot``, which join each line that passes their checks
-        and raise at the first that does not, never return a graph with a finding
-        other than an inert edge; the checks stay for graphs whose indexes were
-        written some other way.
+        A graph whose indexes only ``make_corolla``, ``join`` and ``add_edge``
+        wrote, and whose every corolla was joined, passes every check: each edge
+        pairs two fresh converse corollas carrying +p/2 and -p/2. So
+        ``store.ingest_document`` and ``store.load_snapshot``, which ``add_edge``
+        each line that passes their checks and raise at the first that does not,
+        never return a graph with a finding other than an inert edge; the checks
+        stay for graphs whose indexes were written some other way.
         """
         report = ValidationReport([h for h, edge in enumerate(self._edge_of, 1) if edge is None], [], [], [])
         involution = self.involution()

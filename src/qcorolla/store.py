@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import zlib
 from json.encoder import encode_basestring_ascii as quote  # how json.dumps quotes a str
 from pathlib import Path
@@ -36,7 +37,6 @@ from .corolla import (  # the query API (query_node and its views) lives beside 
     CorollaView,
     NodeReport,
     _CollectorPaused,
-    converse_statement,
     load_registry,
     parse_registry,
     query_node,
@@ -142,10 +142,24 @@ def parse_triple_line(line: str, lineno: int = 1) -> Statement | None:
     return Statement(s, p, o, lineno, (s_column, p_column, o_column))
 
 
+# a well-formed triples line; re.compile caches it at its first use, so importing store costs no compile
+_TRIPLE_LINE = r"[ \t]*({0})[ \t]+({0})[ \t]+({0})[ \t]*\.[ \t]*".format(TOKEN_PATTERN.pattern)
+
+
 def parse_triples_text(text: str) -> Iterator[Statement]:
-    """The statements of a triples text in line order, each parsed, and any fault raised, as it is drawn."""
+    """The statements of a triples text in line order, each parsed, and any fault raised, as it is drawn.
+
+    A line that ``_TRIPLE_LINE`` matches is read from the match; any other goes
+    through ``parse_triple_line``, which names its fault, so both yield the
+    same statement with the same columns.
+    """
+    fullmatch = re.compile(_TRIPLE_LINE).fullmatch
     for lineno, line in source_lines(text):
-        yield parse_triple_line(line, lineno)
+        match = fullmatch(line)
+        if match is None:
+            yield parse_triple_line(line, lineno)
+        else:
+            yield Statement(*match.groups(), lineno, (match.start(1) + 1, match.start(2) + 1, match.start(3) + 1))
 
 
 def load_triples(path: str | Path) -> Iterator[Statement]:
@@ -169,41 +183,44 @@ def _column(statement: Statement, index: int) -> int | None:
 def ingest_document(
     vocabulary: Vocabulary, registry: ConverseRegistry, statements: Iterable[Statement]
 ) -> IngestResult:
-    """Join a corolla pair per statement, folding converse restatements.
+    """Add an edge per statement (``CorollaGraph.add_edge``), folding converse restatements.
 
     ``statements`` is consumed once and counted as it goes; those from
-    ``parse_triples_text`` are parsed as they are joined, so the first fault
+    ``parse_triples_text`` are parsed as they are added, so the first fault
     in line order is raised. Exact duplicate statements are skipped with a
     warning count. A statement whose predicate is a backward name must match
     an existing edge's converse reading; otherwise it is rejected. Every rejection
     carries the statement's line and, for a statement read from triples
-    text, the column of the offending token. The graph returned is valid by
-    construction (``CorollaGraph.validate``).
+    text, the column of the offending token: an unregistered predicate, a
+    backward one with no edge to fold onto, then an unknown subject or object
+    symbol. ``add_edge`` runs every check of ``make_corolla`` and ``join``
+    but once per edge, so the graph returned is valid by construction
+    (``CorollaGraph.validate``) and equals what joining each statement's
+    corollas builds.
     """
     graph = CorollaGraph(vocabulary, registry)
+    add_edge, triple_id_of = graph.add_edge, graph.triple_id_of
+    forward_of = {backward: forward for forward, backward, _ in registry.pairs()}  # backward name -> forward
     count = duplicates = folded = 0
     with _CollectorPaused():
         for count, statement in enumerate(statements, 1):
-            s, p, o = statement.triple
-            if p not in registry:
-                raise UnknownPredicateError(
-                    f"predicate {p!r} not registered", statement.line, _column(statement, 1)
-                )
-            if registry.is_backward(p):
-                forward_key = converse_statement(registry, (s, p, o))
-                if graph.triple_id_of(forward_key) is not None:
+            s, p, o = statement.subject, statement.predicate, statement.object
+            forward = forward_of.get(p)
+            if forward is not None:
+                if triple_id_of((o, forward, s)) is not None:
                     folded += 1
                     continue
                 raise BackwardPredicateInSubjectPositionError(
-                    f"{p!r} is a backward predicate and no edge {forward_key} exists to fold onto",
+                    f"{p!r} is a backward predicate and no edge {(o, forward, s)} exists to fold onto",
                     statement.line,
                     _column(statement, 1),
                 )
-            if graph.triple_id_of((s, p, o)) is not None:
-                duplicates += 1
-                continue
             try:
-                graph.join(graph.make_corolla(s, p), graph.make_corolla(o, registry.converse_name(p)))
+                add_edge(s, p, o)
+            except AlreadyPairedError:  # an exact duplicate: its key is the one check add_edge can fail here
+                duplicates += 1
+            except UnknownPredicateError as exc:
+                raise UnknownPredicateError(str(exc), statement.line, _column(statement, 1)) from None
             except UnknownNodeSymbolError as exc:
                 at = _column(statement, 0 if s not in vocabulary else 2)
                 raise UnknownNodeSymbolError(str(exc), statement.line, at) from None
@@ -381,8 +398,8 @@ def open_snapshot(directory: str | Path) -> Snapshot:
 
 def load_snapshot(directory: str | Path) -> CorollaGraph:
     """Rebuild a graph from a snapshot directory, equal to re-ingesting its triples:
-    each checked line ``s p o .`` (line K is ``tK``) joins its corollas through
-    ``make_corolla`` and ``join`` with the vocabulary's and registry's own strings.
+    each checked line ``s p o .`` (line K is ``tK``) adds its edge through
+    ``CorollaGraph.add_edge`` with the vocabulary's and registry's own strings.
     A bad or repeated line, or vocabulary entry (``checked_vocabulary``), raises at its line,
     so the graph returned is valid by construction (``CorollaGraph.validate``)."""
     _, _, vocabulary, registry, triples = open_snapshot(directory)
@@ -390,8 +407,8 @@ def load_snapshot(directory: str | Path) -> CorollaGraph:
     entries.pop()  # the empty string after the last LF
     graph = CorollaGraph(checked_vocabulary(entries), parse_registry(registry))
     symbols = dict(zip(entries, entries))
-    forward = {name: (name, converse) for name, converse, _ in graph.registry.pairs()}
-    make_corolla, join = graph.make_corolla, graph.join
+    forward = {name: name for name, _, _ in graph.registry.pairs()}
+    add_edge = graph.add_edge
     lines = triples.split("\n")
     del triples  # hold the text or its lines, not both
     lines.pop()
@@ -399,14 +416,13 @@ def load_snapshot(directory: str | Path) -> CorollaGraph:
         for line in lines:
             try:
                 s, p, o, dot = line.split(" ")
-                p, converse = forward[p]
-                s, o = symbols[s], symbols[o]
+                p, s, o = forward[p], symbols[s], symbols[o]
             except (ValueError, KeyError):
                 raise _line_fault(line, graph.edge_count + 1, graph.registry, symbols) from None
             if dot != ".":
                 raise _line_fault(line, graph.edge_count + 1, graph.registry, symbols)
             try:
-                join(make_corolla(s, p), make_corolla(o, converse))
+                add_edge(s, p, o)
             except AlreadyPairedError as exc:
                 raise AlreadyPairedError(str(exc), graph.edge_count + 1, 1) from None
     return graph

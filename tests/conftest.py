@@ -105,3 +105,15 @@ def build_random_graph(n_triples: int, seed: int) -> CorollaGraph:
 def large_random_graph() -> CorollaGraph:
     """One 10^4-triple graph shared by the heavyweight structural checks."""
     return build_random_graph(10_000, seed=20260810)
+
+
+def join_statements(vocabulary, registry, triples) -> CorollaGraph:
+    """The graph that ``make_corolla`` and ``join`` build from (s, p, o) triples in order,
+    skipping a converse restatement (a backward predicate) and an exact repeat: the
+    reference for the store's ingest and snapshot load. A backward statement is not checked
+    for an edge to fold onto; a caller that wants that check uses ``store.ingest_document``."""
+    graph = CorollaGraph(vocabulary, registry)
+    for s, p, o in triples:
+        if not registry.is_backward(p) and graph.triple_id_of((s, p, o)) is None:
+            graph.join(graph.make_corolla(s, p), graph.make_corolla(o, registry.converse_name(p)))
+    return graph

@@ -364,16 +364,16 @@ def test_bad_source_reports_line_and_column(kinship_paths, tmp_path, capsys, cas
 def test_parse_fault_on_the_last_line_leaves_the_store(store_dir, kinship_paths, capsys, monkeypatch):
     before = {path.name: path.read_bytes() for path in store_dir.iterdir()}
     joined = []
-    join = CorollaGraph.join
-    monkeypatch.setattr(CorollaGraph, "join", lambda graph, left, right: (
-        joined.append(left.node), join(graph, left, right))[1])
+    add_edge = CorollaGraph.add_edge
+    monkeypatch.setattr(CorollaGraph, "add_edge", lambda graph, s, p, o: (
+        joined.append(s), add_edge(graph, s, p, o))[1])
     vocab, registry, triples = kinship_paths
     with triples.open("a", encoding="utf-8") as out:
         out.write("person:Bob kin:ParentOf person:Alice\n")
     code = cli_dispatch(["ingest", "--vocab", str(vocab), "--registry", str(registry),
                          "--triples", str(triples), "--store", str(store_dir)])
     assert (code, *capsys.readouterr()) == (1, "", "error: line 5, column 37: statement must end with '.'\n")
-    assert joined == ["person:Bob"] * 2  # the lines before the fault were joined as they were parsed
+    assert joined == ["person:Bob"] * 2  # the edges of the lines before the fault were added as they were parsed
     assert {path.name: path.read_bytes() for path in store_dir.iterdir()} == before
 
 

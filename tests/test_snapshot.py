@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_kinship_graph, build_random_graph
+from conftest import build_kinship_graph, build_random_graph, join_statements
 
 from qcorolla.cli import cli_dispatch
 from qcorolla.corolla import ConverseRegistry, CorollaGraph, load_registry
@@ -25,6 +25,7 @@ from qcorolla.errors import (
     UnknownNodeSymbolError,
     UnknownPredicateError,
     UnknownTripleError,
+    WrongOrientationError,
 )
 from qcorolla.qusym import Vocabulary, load_vocabulary, vocabulary_from_symbols
 from qcorolla.store import (
@@ -294,7 +295,107 @@ def test_one_line_commands_check_the_vocabulary_entries_their_line_names(tmp_pat
         assert capsys.readouterr() == ("", expected), argv
 
 
-# --- one writer: make_corolla and join ---------------------------------------------------
+# --- one writer per edge: add_edge, checked against make_corolla and join ------------------
+
+def assert_same_graph(built, expected):
+    """``built`` holds, index by index, what ``expected`` holds; each half-edge holds the
+    registry's own predicate object, and each (s, p, o) key the registry's own name."""
+    assert as_list(built._owned) == as_list(expected._owned)
+    assert [(c.node, c.predicate, c.half_edge_id) for c in built._half_edges] == \
+        [(c.node, c.predicate, c.half_edge_id) for c in expected._half_edges]
+    assert all(c.predicate is built.registry.directed(c.predicate.name) for c in built._half_edges)
+    assert built._edge_of == expected._edge_of
+    assert built._triples == expected._triples
+    assert as_list(built._triple_keys) == as_list(expected._triple_keys)
+    assert all(p is built.registry.directed(p).name for _, p, _ in built._triple_keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=2**31), st.data())
+def test_ingest_and_load_build_what_make_corolla_and_join_build(tmp_path_factory, n_triples, seed, data):
+    graph = build_random_graph(n_triples, seed)
+    vocabulary, registry = graph.node_vocabulary, graph.registry
+    statements = list(graph.triples().values())
+    for symbol in data.draw(st.lists(st.sampled_from(vocabulary.entries), max_size=3), label="self-loops"):
+        statements.insert(data.draw(st.integers(0, len(statements)), label="at"), (symbol, "rel:F00", symbol))
+    for _ in range(data.draw(st.integers(0, 12), label="restatements") if statements else 0):
+        k = data.draw(st.integers(0, len(statements) - 1), label="of")
+        s, p, o = statements[k]
+        if not registry.is_backward(p):  # a converse restatement or an exact repeat, after the line it restates
+            extra = data.draw(st.sampled_from([(s, p, o), (o, registry.converse_name(p), s)]), label="as")
+            statements.insert(data.draw(st.integers(k + 1, len(statements)), label="at"), extra)
+    text = "".join(f"{s} {p} {o} .\n" for s, p, o in statements)
+    result = ingest_document(vocabulary, registry, parse_triples_text(text))
+    expected = join_statements(vocabulary, registry, statements)
+    assert_same_graph(result.graph, expected)
+    backward = sum(registry.is_backward(p) for _, p, _ in statements)
+    assert (result.statements, result.folded, result.duplicates) == \
+        (len(statements), backward, len(statements) - backward - expected.edge_count)
+
+    directory = tmp_path_factory.mktemp("snap")
+    save_snapshot(result.graph, directory)
+    loaded = load_snapshot(directory)
+    assert_same_graph(loaded, join_statements(loaded.node_vocabulary, loaded.registry,
+                                              sorted(expected.triples().values())))
+
+
+def index_copy(graph):
+    """Every index of a graph as a value that a later write to the graph cannot change."""
+    copy = {name: list(as_list(getattr(graph, name))) for name in INDEXES}
+    copy["_owned"] = [(node, list(ids)) for node, ids in copy["_owned"]]
+    return copy
+
+
+def unused_symbol(graph):
+    return next(symbol for symbol in graph.node_vocabulary.entries if symbol not in graph.nodes())
+
+
+# (subject, predicate, object) of a call that raises, each with one fault, on build_random_graph(30, 5)
+ADD_EDGE_FAULTS = {
+    "unknown predicate": lambda g: ("ns:N000", "rel:Zed", "ns:N001"),
+    "backward name": lambda g: ("ns:N000", "rel:B03", "ns:N001"),
+    "unknown subject": lambda g: ("ns:Zed", "rel:F03", "ns:N001"),
+    "unknown object": lambda g: ("ns:N000", "rel:F03", "ns:Zed"),
+    "unknown self-loop": lambda g: ("ns:Zed", "rel:F03", "ns:Zed"),
+    # make_corolla would have added the new subject before the object's check
+    "new subject, unknown object": lambda g: (unused_symbol(g), "rel:F03", "ns:Zed"),
+    "repeated triple": lambda g: g.triple("t7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADD_EDGE_FAULTS))
+def test_a_raising_add_edge_leaves_every_index_and_raises_what_join_raises(case):
+    graph, twin = build_random_graph(30, seed=5), build_random_graph(30, seed=5)
+    s, p, o = ADD_EDGE_FAULTS[case](graph)
+    before = index_copy(graph)
+    with pytest.raises(QcorollaError) as fused:
+        graph.add_edge(s, p, o)
+    assert index_copy(graph) == before
+    with pytest.raises(QcorollaError) as joined:
+        converse = twin.registry.converse_name(p) if p in twin.registry else p
+        twin.join(twin.make_corolla(s, p), twin.make_corolla(o, converse))
+    assert (type(fused.value), str(fused.value)) == (type(joined.value), str(joined.value))
+
+
+def test_add_edge_names_a_fault_of_the_predicate_before_one_of_a_node():
+    graph = build_random_graph(30, seed=5)
+    before = index_copy(graph)
+    with pytest.raises(WrongOrientationError, match="'rel:F03' is the forward predicate"):
+        graph.add_edge("ns:Zed", "rel:B03", "ns:Zed")
+    with pytest.raises(UnknownPredicateError):
+        graph.add_edge("ns:Zed", "rel:Zed", "ns:Zed")
+    with pytest.raises(UnknownNodeSymbolError, match="'ns:Zed'"):
+        graph.add_edge("ns:Zed", "rel:F03", "ns:Yod")
+    assert index_copy(graph) == before
+
+
+def test_add_edge_returns_the_triple_id_join_returns():
+    graph, twin = build_random_graph(30, seed=5), build_random_graph(30, seed=5)
+    fresh, node = unused_symbol(graph), graph.nodes()[0]
+    for s, p, o in ((fresh, "rel:F03", node), (node, "rel:F03", fresh), (fresh, "rel:F04", fresh)):
+        assert graph.add_edge(s, p, o) == twin.join(twin.make_corolla(s, p), twin.make_corolla(o, twin.registry.converse_name(p)))
+    assert_same_graph(graph, twin)
+
 
 def assert_one_int_object_per_half_edge(graph):
     """Every index holds a half-edge's id as the very int object its Corolla holds,
@@ -328,9 +429,9 @@ def test_loaded_and_ingested_graphs_share_each_half_edge_id(tmp_path):
 
 def test_load_and_ingest_pause_the_collector_while_joining(kinship_paths, tmp_path, monkeypatch):
     collecting = []
-    join = CorollaGraph.join
-    monkeypatch.setattr(CorollaGraph, "join", lambda graph, left, right: (
-        collecting.append(gc.isenabled()), join(graph, left, right))[1])
+    add_edge = CorollaGraph.add_edge
+    monkeypatch.setattr(CorollaGraph, "add_edge", lambda graph, s, p, o: (
+        collecting.append(gc.isenabled()), add_edge(graph, s, p, o))[1])
     save_snapshot(ingest(*kinship_paths).graph, tmp_path)
     load_snapshot(tmp_path)
     assert collecting == [False] * 4 and gc.isenabled()
@@ -404,16 +505,16 @@ def test_ingest_fault_leaves_the_collector_enabled(kinship_paths):
 
 def test_parse_fault_on_the_last_line_leaves_the_collector_enabled(kinship_paths, monkeypatch):
     collecting = []
-    join = CorollaGraph.join
-    monkeypatch.setattr(CorollaGraph, "join", lambda graph, left, right: (
-        collecting.append(gc.isenabled()), join(graph, left, right))[1])
+    add_edge = CorollaGraph.add_edge
+    monkeypatch.setattr(CorollaGraph, "add_edge", lambda graph, s, p, o: (
+        collecting.append(gc.isenabled()), add_edge(graph, s, p, o))[1])
     triples = kinship_paths[2]
     with triples.open("a", encoding="utf-8") as out:
         out.write("person:Bob kin:ParentOf person:Alice\n")
     with pytest.raises(MissingTerminatorError) as excinfo:
         ingest(*kinship_paths)
     assert (excinfo.value.line, excinfo.value.column) == (5, 37)
-    # lines 1 and 3 were joined as they were parsed, with the collector paused
+    # the edges of lines 1 and 3 were added as they were parsed, with the collector paused
     assert collecting == [False] * 2 and gc.isenabled()
 
 

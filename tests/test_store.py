@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import string
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from qcorolla.store import (
     save_snapshot,
 )
 from qcorolla.corolla import ConverseRegistry, load_registry
-from qcorolla.qusym import load_vocabulary, vocabulary_from_symbols
+from qcorolla.qusym import load_vocabulary, source_lines, vocabulary_from_symbols
 
 
 # --- line parser ---------------------------------------------------------------
@@ -228,6 +229,46 @@ def test_parser_raises_only_parse_error(text):
             pass
 
 
+# the compiled fast path of parse_triples_text against parse_triple_line, line by line: tokens,
+# separators, terminators, comment marks, and characters that look like spaces, line breaks,
+# letters or digits but are none of the grammar's
+PARSE_ALPHABET = string.ascii_letters + string.digits + ":_.# \t\xa0\u3000\u2028\u00e9\u0661"
+WORD = string.ascii_letters + string.digits + "_"
+TOKENS = st.tuples(st.sampled_from(string.ascii_letters), st.text(WORD, max_size=2), st.text(WORD, min_size=1, max_size=3)
+                   ).map("{0[0]}{0[1]}:{0[2]}".format)  # what TOKEN_PATTERN matches
+GAPS = st.sampled_from(["", " ", "\t", " \t "])
+WELL_FORMED = st.tuples(GAPS, TOKENS, GAPS.map(" {}".format), TOKENS, GAPS.map("\t{}".format), TOKENS,
+                        GAPS, st.just("."), GAPS).map("".join)
+# a well-formed line as it is or with one character of the alphabet put in or put for another, or any
+# string over the alphabet
+LINES = st.one_of(
+    WELL_FORMED,
+    st.tuples(WELL_FORMED, st.integers(0, 60), st.sampled_from(PARSE_ALPHABET), st.integers(0, 1)).map(
+        lambda edit: edit[0][: edit[1]] + edit[2] + edit[0][edit[1] + edit[3]:]),
+    st.text(alphabet=PARSE_ALPHABET, max_size=40),
+)
+
+
+def parse_outcome(statements):
+    """Each statement's tokens, line and columns as drawn, then the error that stops the parse, if
+    one does: its class, message, line and column."""
+    drawn = []
+    try:
+        for statement in statements:
+            drawn.append((statement.triple, statement.line, statement.columns))
+    except ParseError as exc:
+        drawn.append((type(exc), str(exc), exc.line, exc.column))
+    return drawn
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(LINES, max_size=6), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_fast_parse_agrees_with_the_line_parser(lines, end):
+    text = end.join(lines)
+    expected = parse_outcome(parse_triple_line(line, n) for n, line in source_lines(text))
+    assert parse_outcome(parse_triples_text(text)) == expected
+
+
 # --- ingestion -----------------------------------------------------------------
 
 def test_ingest_kinship_corpus(kinship_paths):
@@ -344,6 +385,9 @@ def test_statement_keeps_its_token_columns():
     spaced = parse_triple_line("  a:X\tr:F  a:Y .", lineno=2)
     assert canonical.columns == (1, 5, 9)
     assert spaced.columns == (3, 7, 12)
+    # the compiled fast path of a triples text reads the same columns
+    assert [statement.columns for statement in parse_triples_text("\na:X r:F a:Y .\n  a:X\tr:F  a:Y .")] == \
+        [(1, 5, 9), (3, 7, 12)]
     # columns are where a statement was written, not what it says
     assert canonical == spaced == Statement("a:X", "r:F", "a:Y", 2)
 
