@@ -164,10 +164,7 @@ class ConverseRegistry:
 
     def directed(self, name: str) -> DirectedPredicate:
         """The signed directed predicate for either name of a pair, one object per name."""
-        try:  # _entry inlined: make_corolla calls this once per corolla
-            return self._pairs[name][0]
-        except KeyError:
-            raise UnknownPredicateError(f"predicate {name!r} not registered") from None
+        return self._entry(name)[0]
 
     def is_backward(self, name: str) -> bool:
         entry = self._pairs.get(name)
@@ -224,12 +221,17 @@ class CorollaGraph:
     half-edges and the triple list, so each pairing is stored once and the
     involution is read from it. ``_owned`` maps a node symbol to its
     half-edge ids, ascending, and ``_triple_keys`` an (s, p, o) to its triple
-    id. Only ``make_corolla`` (with ``add_node``), ``join`` and ``add_edge``
-    write the indexes; ``add_edge`` writes, in one step, what ``join`` of two
-    fresh ``make_corolla`` results writes, and is what the store's ingest and
-    snapshot load call per edge. ``query_node`` reads ``_owned``,
-    ``_half_edges`` and ``_edge_of`` directly. Mutations cost O(1);
-    ``walk_half_edges``, ``corollas_of`` and ``query_node`` O(degree).
+    id. Every node string in the indexes is the vocabulary's own object and
+    every predicate the registry's, however the graph was built: ``add_node``
+    and ``add_edge`` (``make_corolla`` through ``add_node``) look each symbol
+    up in the vocabulary once, which both checks and interns it, and ``join``
+    reads its corollas' nodes. Only ``make_corolla`` (with ``add_node``),
+    ``join`` and ``add_edge`` write the indexes; ``add_edge`` writes, in one
+    step, what ``join`` of two fresh ``make_corolla`` results writes, and is
+    what the store's ingest and snapshot load call per edge. ``query_node``
+    reads ``_owned``, ``_half_edges`` and ``_edge_of`` directly. Mutations
+    cost O(1); ``walk_half_edges``, ``corollas_of`` and ``query_node``
+    O(degree).
 
     Single-writer / multi-reader: mutations need exclusive access.
     """
@@ -246,11 +248,14 @@ class CorollaGraph:
     # -- nodes ---------------------------------------------------------
 
     def add_node(self, symbol: str) -> str:
-        """Register a node of the graph; idempotent per symbol."""
-        if symbol not in self._owned:
-            if symbol not in self.node_vocabulary:
-                raise UnknownNodeSymbolError(f"node symbol {symbol!r} not in vocabulary")
-            self._owned[symbol] = []
+        """Register a node of the graph, idempotent per symbol; returns the
+        vocabulary's own string for it, the one the graph keeps."""
+        vocabulary = self.node_vocabulary
+        try:  # one lookup: the vocabulary check and the intern
+            symbol = vocabulary.entries[vocabulary._index[symbol]]
+        except KeyError:
+            raise UnknownNodeSymbolError(f"node symbol {symbol!r} not in vocabulary") from None
+        self._owned.setdefault(symbol, [])
         return symbol
 
     def nodes(self) -> Tuple[str, ...]:
@@ -269,14 +274,12 @@ class CorollaGraph:
         follows its direction.
         """
         predicate = self.registry.directed(predicate_name)
-        owned = self._owned.get(node)
-        if owned is None:
-            owned = self._owned[self.add_node(node)]
+        node = self.add_node(node)
         half_edge_id = len(self._half_edges) + 1  # one int object for the Corolla and every index
         corolla = Corolla(node, predicate, half_edge_id)
         self._half_edges.append(corolla)
         self._edge_of.append(None)
-        owned.append(half_edge_id)
+        self._owned[node].append(half_edge_id)
         return corolla
 
     def corollas_of(self, node: str) -> Set[Corolla]:
@@ -357,8 +360,9 @@ class CorollaGraph:
 
         Builds what ``join(make_corolla(subject, p), make_corolla(object,
         converse of p))`` builds, index by index, in one step: one registry
-        lookup, a vocabulary check for a node new to the graph, one key
-        check. A call with one fault raises what that sequence raises; with
+        lookup, one vocabulary lookup per node, which checks its symbol and
+        gives the vocabulary's own string, the one the graph keeps, and one
+        key check. A call with one fault raises what that sequence raises; with
         several, the first of: an unregistered predicate, a backward name,
         the subject's symbol missing from the vocabulary, the object's, a
         repeated (s, p, o). Every check runs before any index is written, so
@@ -372,12 +376,13 @@ class CorollaGraph:
             raise WrongOrientationError(
                 f"swapped sides: {backward.name!r} is the forward predicate and must come first"
             )
-        owned = self._owned
-        subject_ids, object_ids = owned.get(subject), owned.get(object)
-        if subject_ids is None or object_ids is None:  # a node new to the graph must be in the vocabulary
-            for symbol in (subject, object):
-                if symbol not in owned and symbol not in self.node_vocabulary:
-                    raise UnknownNodeSymbolError(f"node symbol {symbol!r} not in vocabulary")
+        vocabulary = self.node_vocabulary
+        index, entries = vocabulary._index, vocabulary.entries
+        try:  # add_node's lookup, inlined: one per node, the vocabulary check and the intern
+            subject = entries[index[subject]]
+            object = entries[index[object]]
+        except KeyError as missing:
+            raise UnknownNodeSymbolError(f"node symbol {missing.args[0]!r} not in vocabulary") from None
         key = (subject, forward.name, object)  # the registry's own string, as join keys it
         triple_keys = self._triple_keys
         if key in triple_keys:
@@ -392,12 +397,8 @@ class CorollaGraph:
         edge_of += (edge, edge)
         triples.append(edge)
         triple_keys[key] = triple_id
-        if subject_ids is None:
-            subject_ids = owned[subject] = []
-        subject_ids.append(left_id)
-        if object_ids is None:  # a new node; a self-loop's subject added it just now
-            object_ids = owned.setdefault(object, [])
-        object_ids.append(right_id)
+        self._owned.setdefault(subject, []).append(left_id)
+        self._owned.setdefault(object, []).append(right_id)
         return triple_id
 
     # -- triples -----------------------------------------------------------

@@ -399,15 +399,13 @@ def open_snapshot(directory: str | Path) -> Snapshot:
 def load_snapshot(directory: str | Path) -> CorollaGraph:
     """Rebuild a graph from a snapshot directory, equal to re-ingesting its triples:
     each checked line ``s p o .`` (line K is ``tK``) adds its edge through
-    ``CorollaGraph.add_edge`` with the vocabulary's and registry's own strings.
-    A bad or repeated line, or vocabulary entry (``checked_vocabulary``), raises at its line,
-    so the graph returned is valid by construction (``CorollaGraph.validate``)."""
+    ``CorollaGraph.add_edge``, which checks its names and keeps the vocabulary's and
+    registry's own strings. A bad or repeated line, or vocabulary entry (``checked_vocabulary``),
+    raises at its line, so the graph returned is valid by construction (``CorollaGraph.validate``)."""
     _, _, vocabulary, registry, triples = open_snapshot(directory)
     entries = vocabulary.split("\n")
     entries.pop()  # the empty string after the last LF
     graph = CorollaGraph(checked_vocabulary(entries), parse_registry(registry))
-    symbols = dict(zip(entries, entries))
-    forward = {name: name for name, _, _ in graph.registry.pairs()}
     add_edge = graph.add_edge
     lines = triples.split("\n")
     del triples  # hold the text or its lines, not both
@@ -416,15 +414,13 @@ def load_snapshot(directory: str | Path) -> CorollaGraph:
         for line in lines:
             try:
                 s, p, o, dot = line.split(" ")
-                p, s, o = forward[p], symbols[s], symbols[o]
-            except (ValueError, KeyError):
-                raise _line_fault(line, graph.edge_count + 1, graph.registry, symbols) from None
-            if dot != ".":
-                raise _line_fault(line, graph.edge_count + 1, graph.registry, symbols)
-            try:
-                add_edge(s, p, o)
+                if dot != ".":
+                    raise ValueError(dot)
+                add_edge(s, p, o)  # checks the predicate, its direction, s, then o: _line_fault's order
             except AlreadyPairedError as exc:
                 raise AlreadyPairedError(str(exc), graph.edge_count + 1, 1) from None
+            except (LookupError, ValueError):
+                raise _line_fault(line, graph.edge_count + 1, graph.registry, graph.node_vocabulary) from None
     return graph
 
 

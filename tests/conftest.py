@@ -86,19 +86,13 @@ def build_random_graph(n_triples: int, seed: int) -> CorollaGraph:
         weight = float(rng.uniform(0.0, 1.0))
         registry.register_converse(f"rel:F{k:02d}", f"rel:B{k:02d}", weight)
         forwards.append(f"rel:F{k:02d}")
-    graph = CorollaGraph(voc, registry)
-    keys = set()
+    keys = {}  # distinct keys in the order they are drawn
     while len(keys) < n_triples:
         s = node_symbols[rng.integers(len(node_symbols))]
         p = forwards[rng.integers(len(forwards))]
         o = node_symbols[rng.integers(len(node_symbols))]
-        if (s, p, o) in keys:
-            continue
-        keys.add((s, p, o))
-        left = graph.make_corolla(s, p)
-        right = graph.make_corolla(o, registry.converse_name(p))
-        graph.join(left, right)
-    return graph
+        keys[(s, p, o)] = None
+    return join_statements(voc, registry, keys)
 
 
 @pytest.fixture(scope="session")

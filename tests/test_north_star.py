@@ -2,12 +2,15 @@
 
 The corpus is the benchmark's generator at 10^4 edges over d = 10^4 symbols: Zipf hubs,
 self-loops, inert edges, converse restatements and exact duplicates. Each command runs
-through ``cli_dispatch``; the references are ``expected.json`` and a graph built through
-``make_corolla`` and ``join`` (``conftest.join_statements``). No timing is asserted here.
+through ``cli_dispatch``; the references are ``expected.json``, a graph built through
+``make_corolla`` and ``join`` (``conftest.join_statements``) and, for the one-triple commands,
+the closed-form ``JointState`` that ``synthesize_joint_state`` makes from that graph: its dense
+state would hold 10^8 amplitudes. No timing is asserted here.
 """
 
 import importlib.util
 import io
+import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -18,6 +21,7 @@ from conftest import join_statements
 
 from qcorolla.cli import cli_dispatch
 from qcorolla.corolla import load_registry
+from qcorolla.entangle import measure, measure_entanglement, synthesize_joint_state
 from qcorolla.qusym import load_vocabulary, read_source, source_lines
 from qcorolla.store import export_jsonl, load_snapshot, parse_triple_line, query_node, save_snapshot
 
@@ -103,3 +107,45 @@ def test_export_writes_the_reference_export(north_star, tmp_path):
     assert run(["export", "--jsonl", str(path), "--store", str(store)]) == (0, f"exported {edges} statements to {path}\n", "")
     assert export_jsonl(reference, tmp_path / "reference.jsonl") == edges
     assert path.read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+
+
+# the one-triple commands' four kinds of triple; the corpus gives pair 0 weight 0 and pair 1 weight 1
+TRIPLE_CASES = {
+    "top hub's first line": lambda hub, s, p, o: s == hub,
+    "self-loop": lambda hub, s, p, o: s == o,
+    "inert": lambda hub, s, p, o: p == "rel:F00",
+    "Bell": lambda hub, s, p, o: p == "rel:F01",
+}
+
+
+@pytest.mark.parametrize("case", TRIPLE_CASES)
+def test_entangle_measure_and_entropy_print_what_the_closed_form_state_gives(north_star, case):
+    corpus, _, store, _, reference = north_star
+    hub = corpus.expected["rank"][0]
+    triple_id = next(t for t, triple in reference.triples().items() if TRIPLE_CASES[case](hub, *triple))
+    seed = list(TRIPLE_CASES).index(case) + 1
+    joint = synthesize_joint_state(reference, triple_id)
+    if case == "self-loop":
+        assert joint.basis == (0, 1, 0, 1)  # i == j falls back to the first two basis states
+    if case in ("inert", "Bell"):
+        assert joint.target_entropy == (case == "Bell")
+    entangled = {
+        "triple": triple_id,
+        "statement": list(reference.triple(triple_id)),
+        "dims": [10000, 10000],
+        "basis": list(joint.basis),
+        "target_entropy": joint.target_entropy,
+        "measured_entropy": measure_entanglement(joint),
+        "amplitudes": {str(i): [a, 0.0] for i, a in joint.support() if a != 0},
+    }
+    assert run(["entangle", triple_id, "--store", str(store)]) == (0, f"{json.dumps(entangled, sort_keys=True)}\n", "")
+    measured = measure(joint, shots=10000, seed=seed).as_dict()
+    assert sum(measured["counts"].values()) == 10000
+    assert run(["measure", triple_id, "--shots", "10000", "--seed", str(seed), "--store", str(store)]) == (
+        0,
+        f"{json.dumps(measured, sort_keys=True)}\n",
+        "",
+    )
+    for base in ("2", "3"):
+        expected = f"{measure_entanglement(joint, base=float(base)):.6f}\n"
+        assert run(["entropy", "--triple", triple_id, "--base", base, "--store", str(store)]) == (0, expected, "")

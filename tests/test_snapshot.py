@@ -98,15 +98,44 @@ def test_triple_k_is_line_k(tmp_path):
     assert [f"{s} {p} {o} ." for s, p, o in (graph.triple(f"t{k}") for k in range(1, 301))] == lines
 
 
-def test_bulk_load_keeps_one_string_per_symbol_and_predicate(tmp_path):
-    save_snapshot(build_random_graph(200, seed=3), tmp_path)
-    graph = load_snapshot(tmp_path)
+def assert_one_string_per_name(graph):
+    """Each node string in the graph's indexes is its vocabulary's own object, and each predicate its registry's."""
     entries = {symbol: symbol for symbol in graph.node_vocabulary.entries}
     names = {name: name for name, _, _ in graph.registry.pairs()}
     for corolla in graph._half_edges:
         assert corolla.node is entries[corolla.node]
+        assert corolla.predicate is graph.registry.directed(corolla.predicate.name)
+    for symbol in graph._owned:
+        assert symbol is entries[symbol]
     for s, p, o in graph._triple_keys:
         assert s is entries[s] and o is entries[o] and p is names[p]
+
+
+def test_bulk_load_keeps_one_string_per_symbol_and_predicate(tmp_path):
+    save_snapshot(build_random_graph(200, seed=3), tmp_path)
+    assert_one_string_per_name(load_snapshot(tmp_path))
+
+
+def test_ingest_make_corolla_and_add_edge_keep_one_string_per_symbol_and_predicate():
+    reference = build_random_graph(200, seed=3)
+    vocabulary, registry = reference.node_vocabulary, reference.registry
+    triples = list(reference.triples().values())
+    assert any(s == o for s, _, o in triples)  # a self-loop's two half-edges share its node's string
+    # parsed text, with each edge's converse reading folded onto it
+    text = "".join(f"{s} {p} {o} .\n{o} {registry.converse_name(p)} {s} .\n" for s, p, o in triples)
+    # equal strings that are not the vocabulary's or the registry's objects
+    copies = [tuple("".join([name[:1], name[1:]]) for name in triple) for triple in triples]
+    assert not any(a is b for copy, triple in zip(copies, triples) for a, b in zip(copy, triple))
+    by_add_edge = CorollaGraph(vocabulary, registry)
+    for s, p, o in copies:
+        by_add_edge.add_edge(s, p, o)
+    for graph in (
+        ingest_document(vocabulary, registry, parse_triples_text(text)).graph,
+        join_statements(vocabulary, registry, copies),  # make_corolla and join
+        by_add_edge,
+    ):
+        assert graph.triples() == reference.triples()
+        assert_one_string_per_name(graph)
 
 
 # faults a crafted snapshot could hold under a matching CRC: (triples text, error, line, column)
