@@ -219,7 +219,9 @@ class CorollaGraph:
     edge record of ``tK``. An edge record is one tuple (triple id, forward
     id, backward id) made by ``join`` or ``add_edge`` and shared by both
     half-edges and the triple list, so each pairing is stored once and the
-    involution is read from it. ``_owned`` maps a node symbol to its
+    involution is read from it: ``validate`` in a single pass over the
+    records, with no map, and ``involution()`` builds the map only for a
+    caller that asks for it. ``_owned`` maps a node symbol to its
     half-edge ids, ascending, and ``_triple_keys`` an (s, p, o) to its triple
     id. Every node string in the indexes is the vocabulary's own object and
     every predicate the registry's, however the graph was built: ``add_node``
@@ -438,6 +440,12 @@ class CorollaGraph:
         exactly and their moduli sum to the registered total within
         ``WEIGHT_TOL``. Weight-0 edges are flagged as inert warnings.
 
+        The involution checks are a single pass over the stored edge records,
+        with no map built: a half-edge's partner is its record's other id,
+        and it is self-inverse when that id lies in ``1..half_edge_count`` and
+        the partner's own record names it back. The report lists what
+        ``involution()`` would show, in half-edge id order.
+
         A graph whose indexes only ``make_corolla``, ``join`` and ``add_edge``
         wrote, and whose every corolla was joined, passes every check: each edge
         pairs two fresh converse corollas carrying +p/2 and -p/2. So
@@ -446,16 +454,18 @@ class CorollaGraph:
         never return a graph with a finding other than an inert edge; the checks
         stay for graphs whose indexes were written some other way.
         """
-        report = ValidationReport([h for h, edge in enumerate(self._edge_of, 1) if edge is None], [], [], [])
-        involution = self.involution()
-        for f, f_prime in involution.items():
-            if f_prime == f:
-                report.involution_violations.append(f"involution fixed point at half-edge {f}")
-            elif involution.get(f_prime) != f:
-                report.involution_violations.append(
-                    f"involution not self-inverse at half-edge {f}"
-                )
-        half_edges = self._half_edges
+        report = ValidationReport([], [], [], [])
+        half_edges, edge_of = self._half_edges, self._edge_of
+        for h, edge in enumerate(edge_of, 1):
+            if edge is None:
+                report.unpaired.append(h)
+                continue
+            partner = edge[2] if h == edge[1] else edge[1]  # as involution() reads it
+            if partner == h:
+                report.involution_violations.append(f"involution fixed point at half-edge {h}")
+            elif not 0 < partner <= len(edge_of) or (back := edge_of[partner - 1]) is None \
+                    or (back[2] if partner == back[1] else back[1]) != h:  # range first: edge_of[-k] wraps
+                report.involution_violations.append(f"involution not self-inverse at half-edge {h}")
         for triple_id, left_id, right_id in self._triples:
             left, right = half_edges[left_id - 1], half_edges[right_id - 1]
             signed_sum = left.predicate.half_weight + right.predicate.half_weight

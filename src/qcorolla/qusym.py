@@ -173,7 +173,11 @@ def vocabulary_from_symbols(symbols: Iterable[str]) -> Vocabulary:
 
 
 def encode_symbol(voc: Vocabulary, symbol: str) -> Qusym:
-    """One-hot encode a symbol as the pure basis state at its index."""
+    """One-hot encode a symbol as the pure basis state at its index.
+
+    A dense reference, d amplitudes in memory (1.6 MB at d = 10^5) for one
+    nonzero, that no CLI command or script reaches.
+    """
     from .qla import basis_state
 
     return Qusym(voc, basis_state(voc.d, voc.index(symbol)))

@@ -249,7 +249,7 @@ def export_jsonl(graph: CorollaGraph, path: str | Path) -> int:
     isomorphic graph.
     """
     parts: Dict[str, Tuple[str, str, str]] = {}  # predicate -> text before o, between o and s, after s
-    statements = sorted(graph.triples().values())
+    statements = sorted(graph._triple_keys)  # every stored (s, p, o), read from the key index
 
     def lines():
         for s, p, o in statements:
@@ -337,7 +337,7 @@ def save_snapshot(graph: CorollaGraph, directory: str | Path) -> None:
     data = [  # in _SNAPSHOT_FILES order, each text dropped once encoded
         graph.node_vocabulary.serialize().encode("utf-8"),
         registry.encode("utf-8"),
-        "".join(f"{s} {p} {o} .\n" for s, p, o in sorted(graph.triples().values())).encode("utf-8"),
+        "".join(f"{s} {p} {o} .\n" for s, p, o in sorted(graph._triple_keys)).encode("utf-8"),
     ]
     meta = {
         "crc32": {name: zlib.crc32(content) for name, content in zip(_CHECKED_FILES, data)},

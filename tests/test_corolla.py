@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -464,6 +465,32 @@ def test_validate_flags_involution_not_self_inverse():
         f"involution not self-inverse at half-edge {left_id}",
         f"involution not self-inverse at half-edge {right_id}",
     ]
+
+
+def test_validate_flags_involution_partner_out_of_range():
+    # half-edge 1's partner id 0, one that would wrap to a list position from the end, and one
+    # past the end: none names a half-edge, so 1 is not self-inverse, nor is 2, whose partner is 1
+    for partner in (0, 1 - 4, 4 + 1):
+        graph = build_kinship_graph()
+        assert graph.half_edge_count == 4 and graph._edge_of[0] == ("t1", 1, 2)
+        graph._edge_of[0] = ("t1", 1, partner)
+        assert graph.validate().involution_violations == [
+            "involution not self-inverse at half-edge 1",
+            "involution not self-inverse at half-edge 2",
+        ]
+
+
+def test_validate_builds_no_per_half_edge_map(large_random_graph):
+    # a dict of the involution costs about 59 bytes per half-edge; reading the records costs none
+    graph = large_random_graph
+    tracemalloc.start()
+    try:
+        report = graph.validate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.is_valid
+    assert peak < graph.half_edge_count, f"validate peaked at {peak} B over {graph.half_edge_count} half-edges"
 
 
 def test_validate_flags_inert_edge_as_warning():

@@ -56,6 +56,12 @@ def test_binomial_branches_match_numpy():
             assert pcg64.multinomial(seed, n, [q, 1.0 - q]) == numpy_counts(seed, n, [q, 1.0 - q]), (seed, n, q)
 
 
+def test_btpe_left_tail_rejection_matches_numpy():
+    # the first binomial draw (n = 1000, mean 31: BTPE) lands in the left tail below 0 and is
+    # rejected (y < 0) before a later draw is accepted
+    assert pcg64.multinomial(3025, 1000, [0.031, 0.969]) == numpy_counts(3025, 1000, [0.031, 0.969]) == [28, 972]
+
+
 @settings(max_examples=600, deadline=None)
 @given(seeds, shots, lambdas, st.sampled_from(["01z", "0z1", "z01", "01"]))
 # the second draw's p, p2 / (1 - p1), is 1, 1 - 2**-52 (leaving a rest for the last category) and 1 + 2**-52
