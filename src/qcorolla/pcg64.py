@@ -150,14 +150,14 @@ def _btpe(rng: PCG64, n: int, p: float) -> int:
                 continue
             y = math.floor(x)
         elif u <= p3:  # step 30
-            if v == 0.0:
+            if v == 0.0:  # numpy rejects v == 0 after log(v); math.log(0) raises, so test it first
                 continue
             y = math.floor(xl + math.log(v) / laml)
             if y < 0:
                 continue
             v = v * (u - p2) * laml
         else:  # step 40
-            if v == 0.0:
+            if v == 0.0:  # as in step 30; only a draw of exactly 0 (odds 2**-53) reaches either
                 continue
             y = math.floor(xr - math.log(v) / lamr)
             if y > n:

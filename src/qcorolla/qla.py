@@ -91,8 +91,15 @@ class StateVector:
         return self.amplitudes.size
 
     def probabilities(self) -> np.ndarray:
-        """Born-rule outcome probabilities |a_i|^2."""
-        return np.abs(self.amplitudes) ** 2
+        """Born-rule outcome probabilities |a_i|^2.
+
+        The moduli are squared in place, so the result is the one float array
+        allocated: ``np.abs(a) ** 2`` gives the same floats but holds a second
+        temporary of the same size while it squares.
+        """
+        probs = np.abs(self.amplitudes)
+        np.square(probs, out=probs)
+        return probs
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 """Joint-state synthesis, Bell states, measurement sampling, tessellation."""
 
+import json
 import math
 import tracemalloc
 
@@ -315,6 +316,29 @@ def test_measure_dense_joint_states_match_the_full_vector_draw():
         state = triple_joint_state(128, subject, obj, weight).state
         for shots in (10_000, *ORACLE_SHOTS):
             assert measure(state, shots, trial).counts == full_vector_counts(state, shots, trial), (trial, shots)
+
+
+def test_measure_dense_counts_are_builtin_ints():
+    rng = np.random.default_rng(101)
+    for state in [triple_joint_state(128, 5, 77, 0.4).state, *sparse_states(rng, 50)]:
+        record = measure(state, 10**6, 3)
+        assert all(type(k) is int and type(n) is int for k, n in record.counts.items())
+        json.dumps(record.as_dict())
+
+
+def test_measure_dense_holds_one_probability_sized_temporary():
+    # the d² probabilities are the one array as large as the state's floats: squaring in place and
+    # scanning a boolean mask add none beside it
+    d = 128
+    state = triple_joint_state(d, 5, 77, 0.4).state
+    measure(state, 10_000, 1)  # warm-up: numpy's first-call caches are not the draw's
+    tracemalloc.start()
+    try:
+        measure(state, 10_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * d * d, peak
 
 
 def test_joint_state_support_matches_dense_amplitudes():

@@ -1,6 +1,7 @@
 """Linear-algebra substrate: states, density matrices, Schmidt, entropies."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,6 +83,26 @@ def test_make_state_normalizes(amplitudes):
 def test_make_state_normalizes_without_overflow_or_underflow(case):
     amplitudes, probabilities = EXTREME_AMPLITUDES[case]
     assert make_state(amplitudes).probabilities() == pytest.approx(probabilities, abs=1e-12)
+
+
+def test_probabilities_equal_squared_moduli_bit_for_bit():
+    edge = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-170, 1e154, -1e154, 1.0, -1.0])
+    rng = np.random.default_rng(103)
+    parts = np.concatenate([edge, rng.normal(size=100), rng.normal(size=100) * 10.0 ** rng.integers(-200, 155, size=100)])
+    tables = {
+        "real": parts + 0j,
+        "imaginary": 1j * parts,
+        "mixed": parts + 1j * rng.permutation(parts),
+        "edge pairs": np.add.outer(edge, 1j * edge).ravel(),  # 1e154 + 1e154j squares to inf
+    }
+    for name, amps in tables.items():
+        # probabilities reads only the amplitudes, which need no norm of 1 here
+        with np.errstate(over="ignore"):
+            probs = StateVector.probabilities(SimpleNamespace(amplitudes=amps))
+            expected = np.abs(amps) ** 2
+        assert probs.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), name
+    state = make_state(tables["mixed"])
+    assert state.probabilities().view(np.uint64).tolist() == (np.abs(state.amplitudes) ** 2).view(np.uint64).tolist()
 
 
 def test_statevector_rejects_unnormalized():
