@@ -282,8 +282,8 @@ def measure(state: StateVector | JointState, shots: int, seed: int) -> Measureme
     nonzero scan reads: numpy scans a boolean mask several times faster than
     the floats, and each further d²-sized temporary is freed memory that the
     allocator can return to the OS and fault back in on the next call.
-    Identical seeds give identical records. Only
-    outcomes that occurred appear in ``counts``. A negative seed raises
+    Identical seeds give identical records. Only outcomes that occurred
+    appear in ``counts``, as builtin ints. A negative seed raises
     ``ValueError``.
     """
     if not 1 <= shots <= MAX_SHOTS:

@@ -98,8 +98,7 @@ class StateVector:
         temporary of the same size while it squares.
         """
         probs = np.abs(self.amplitudes)
-        np.square(probs, out=probs)
-        return probs
+        return np.square(probs, out=probs)
 
 
 @dataclass(frozen=True, eq=False)

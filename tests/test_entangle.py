@@ -327,8 +327,8 @@ def test_measure_dense_counts_are_builtin_ints():
 
 
 def test_measure_dense_holds_one_probability_sized_temporary():
-    # the d² probabilities are the one array as large as the state's floats: squaring in place and
-    # scanning a boolean mask add none beside it
+    # the d² probabilities are the one float array beside the state: squaring them in place adds no
+    # second one, and the mask that finds the nonzero ones holds a byte per amplitude
     d = 128
     state = triple_joint_state(d, 5, 77, 0.4).state
     measure(state, 10_000, 1)  # warm-up: numpy's first-call caches are not the draw's

@@ -86,9 +86,13 @@ def test_make_state_normalizes_without_overflow_or_underflow(case):
 
 
 def test_probabilities_equal_squared_moduli_bit_for_bit():
+    def bits(floats):
+        return floats.view(np.uint64).tolist()
+
     edge = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-170, 1e154, -1e154, 1.0, -1.0])
     rng = np.random.default_rng(103)
-    parts = np.concatenate([edge, rng.normal(size=100), rng.normal(size=100) * 10.0 ** rng.integers(-200, 155, size=100)])
+    scales = 10.0 ** rng.integers(-200, 155, size=100)
+    parts = np.concatenate([edge, rng.normal(size=100), rng.normal(size=100) * scales])
     tables = {
         "real": parts + 0j,
         "imaginary": 1j * parts,
@@ -100,9 +104,9 @@ def test_probabilities_equal_squared_moduli_bit_for_bit():
         with np.errstate(over="ignore"):
             probs = StateVector.probabilities(SimpleNamespace(amplitudes=amps))
             expected = np.abs(amps) ** 2
-        assert probs.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), name
+        assert bits(probs) == bits(expected), name
     state = make_state(tables["mixed"])
-    assert state.probabilities().view(np.uint64).tolist() == (np.abs(state.amplitudes) ** 2).view(np.uint64).tolist()
+    assert bits(state.probabilities()) == bits(np.abs(state.amplitudes) ** 2)
 
 
 def test_statevector_rejects_unnormalized():
