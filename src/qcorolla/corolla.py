@@ -57,7 +57,6 @@ class DirectedPredicate:
     corolla of the name shares it; two are equal when their fields are.
     """
 
-    __slots__ = ("name", "half_weight", "direction")
     __setattr__ = read_only
 
     def __init__(self, name: str, half_weight: float, direction: str):
@@ -67,17 +66,12 @@ class DirectedPredicate:
             raise ValueError("forward predicates need a non-negative half-weight")
         if direction == BACKWARD and half_weight > 0:
             raise ValueError("backward predicates need a non-positive half-weight")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "half_weight", half_weight)
-        object.__setattr__(self, "direction", direction)
+        self.__dict__.update(name=name, half_weight=half_weight, direction=direction)
 
     def __eq__(self, other):
         if type(other) is not DirectedPredicate:
             return NotImplemented
         return (self.name, self.half_weight, self.direction) == (other.name, other.half_weight, other.direction)
-
-    def __reduce__(self):  # copy and pickle rebuild it through __init__, as its slots are read-only
-        return DirectedPredicate, (self.name, self.half_weight, self.direction)
 
 
 class Corolla:

@@ -114,13 +114,12 @@ class JointState:
         """
         import numpy as np
 
-        from .qla import StateVector
+        from .qla import StateVector, _frozen
 
         amps = np.zeros(self.dims[0] * self.dims[1], dtype=complex)
         for index, amplitude in self.support():
             amps[index] = amplitude
-        amps.setflags(write=False)
-        return StateVector(amps)
+        return StateVector(_frozen(amps))
 
 
 class MeasurementRecord:

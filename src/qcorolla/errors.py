@@ -143,7 +143,7 @@ class SnapshotError(QcorollaError, ValueError):
 
 def read_only(instance, name: str, value) -> None:
     """``__setattr__`` of a class whose ``__init__`` checks its fields or derives
-    state from them. ``__init__`` bypasses it, writing into ``__dict__`` or
-    through ``object.__setattr__``; any later assignment raises, with a frozen
-    dataclass's message."""
+    state from them. ``__init__`` bypasses it, writing the fields into
+    ``__dict__``; any later assignment raises, with a frozen dataclass's
+    message."""
     raise AttributeError(f"cannot assign to field {name!r}")

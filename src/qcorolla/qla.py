@@ -7,8 +7,8 @@ pure function, so unrestricted parallel use is safe. A container holds a
 read-only array. It copies what it is given, except a read-only ndarray of
 its dtype that owns its data: that array is shared with the caller, not
 copied, and handing it over is a promise not to write to it again.
-``basis_state``, ``make_state``, ``outer`` and ``mix`` hand over the fresh
-arrays they build that way.
+``basis_state``, ``make_state``, ``tensor``, ``outer`` and ``mix`` hand over
+the fresh arrays they build that way.
 
 Conventions:
 
@@ -23,7 +23,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +32,7 @@ from .errors import (
     EmptyVectorError,
     ProbabilityMismatchError,
     ZeroVectorError,
+    read_only,
 )
 from .qusym import log_of_base
 
@@ -66,7 +66,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
 class StateVector:
     """Unit vector of complex amplitudes over a d-dimensional basis.
 
@@ -74,17 +73,17 @@ class StateVector:
     use :func:`make_state` to build one from unnormalized input.
     """
 
-    amplitudes: np.ndarray
+    __setattr__ = read_only
 
-    def __post_init__(self):
-        amps = _frozen_array(self.amplitudes, complex)
+    def __init__(self, amplitudes: np.ndarray):
+        amps = _frozen_array(amplitudes, complex)
         if amps.ndim != 1 or amps.size < 1:
             raise EmptyVectorError("state vector needs at least one amplitude")
         # one pass and no temporaries; NaN and inf still fail the check below
         norm_sq = float(np.vdot(amps, amps).real)
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector not normalized: sum |a|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", amps)
+        self.__dict__.update(amplitudes=amps)
 
     @property
     def dim(self) -> int:
@@ -101,15 +100,13 @@ class StateVector:
         return np.square(probs, out=probs)
 
 
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, trace-1, positive-semidefinite matrix of selection weights."""
 
-    entries: np.ndarray
-    _spectrum: np.ndarray = field(init=False, repr=False)
+    __setattr__ = read_only
 
-    def __post_init__(self):
-        mat = _frozen_array(self.entries, complex)
+    def __init__(self, entries: np.ndarray):
+        mat = _frozen_array(entries, complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise DimensionMismatchError(f"density matrix must be square, got shape {mat.shape}")
         if not np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL:
@@ -120,8 +117,7 @@ class DensityMatrix:
         spectrum = np.linalg.eigvalsh(mat)
         if float(np.min(spectrum)) < -PSD_TOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
-        object.__setattr__(self, "entries", mat)
-        object.__setattr__(self, "_spectrum", spectrum)
+        self.__dict__.update(entries=mat, _spectrum=spectrum)
 
     @property
     def dim(self) -> int:
@@ -132,7 +128,6 @@ class DensityMatrix:
         return np.clip(self._spectrum, 0.0, None)
 
 
-@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Bipartite pure state written as ``Σ λ_i |μ_i⟩ ⊗ |v_i⟩``.
 
@@ -140,21 +135,20 @@ class SchmidtDecomposition:
     to 1; the per-side bases are orthonormal.
     """
 
-    coefficients: np.ndarray
-    left_basis: Tuple[StateVector, ...]
-    right_basis: Tuple[StateVector, ...]
+    __setattr__ = read_only
 
-    def __post_init__(self):
-        coeffs = _frozen_array(self.coefficients, float)
+    def __init__(self, coefficients: np.ndarray, left_basis: Tuple[StateVector, ...],
+                 right_basis: Tuple[StateVector, ...]):
+        coeffs = _frozen_array(coefficients, float)
         if not (np.all(coeffs >= 0) and np.all(np.diff(coeffs) <= 0)):
             raise ValueError("Schmidt coefficients must be non-negative and non-increasing")
         if not abs(float(np.sum(coeffs**2)) - 1.0) <= NORM_TOL:
             raise ValueError("Schmidt coefficients must square-sum to 1")
-        for basis in (self.left_basis, self.right_basis):
+        for basis in (left_basis, right_basis):
             mat = np.stack([s.amplitudes for s in basis])
             if not np.max(np.abs(mat @ mat.conj().T - np.eye(len(basis)))) <= NORM_TOL:
                 raise ValueError("Schmidt bases must be orthonormal")
-        object.__setattr__(self, "coefficients", coeffs)
+        self.__dict__.update(coefficients=coeffs, left_basis=left_basis, right_basis=right_basis)
 
     def reconstruct(self) -> StateVector:
         """Rebuild the joint state ``Σ λ_i |μ_i⟩ ⊗ |v_i⟩``."""
@@ -195,7 +189,10 @@ def basis_state(dim: int, index: int) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product with the left factor as the most significant index."""
-    return StateVector(np.kron(a.amplitudes, b.amplitudes))
+    # np.kron's own multiply, flattened in place, so the array still owns its data and is handed over
+    amps = np.multiply(a.amplitudes[:, None], b.amplitudes[None, :])
+    amps.shape = (amps.size,)
+    return StateVector(_frozen(amps))
 
 
 def outer(state: StateVector) -> DensityMatrix:

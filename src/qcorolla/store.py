@@ -31,11 +31,9 @@ from json.encoder import encode_basestring_ascii as quote  # how json.dumps quot
 from pathlib import Path
 from typing import Container, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
-from .corolla import (  # the query API (query_node and its views) lives beside the id lists it reads
+from .corolla import (  # query_node lives beside the id lists it reads; the CLI calls it from here
     ConverseRegistry,
     CorollaGraph,
-    CorollaView,
-    NodeReport,
     _CollectorPaused,
     load_registry,
     parse_registry,
@@ -270,16 +268,17 @@ def export_jsonl(graph: CorollaGraph, path: str | Path) -> int:
 
 def load_jsonl(path: str | Path) -> List[Statement]:
     """Read an export back into its forward statements, through ``read_source`` as a source file
-    is, but only LF ends a record (a CR before it is JSON whitespace); a line that is not a JSON
-    object with string ``s``, ``p`` and ``o`` raises ``MalformedTokenError`` at its line."""
+    is, but only LF ends a record (a CR before it is JSON whitespace). A line of JSON whitespace
+    alone (spaces, tabs, CRs) is skipped; any other line that is not a JSON object with string
+    ``s``, ``p`` and ``o`` raises ``MalformedTokenError`` at its line."""
     statements = []
     text = read_source(path, lambda text: text.split("\n"))  # a byte that is not UTF-8 is located by record
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        if not raw.strip():
+        if not raw.strip(" \t\r"):
             continue
         try:
             record = json.loads(raw)
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: nested too deep
             record = None
         if not (isinstance(record, dict) and all(isinstance(record.get(key), str) for key in "spo")):
             raise MalformedTokenError("expected a JSON object with string 's', 'p' and 'o'", lineno)
@@ -372,7 +371,7 @@ def open_snapshot(directory: str | Path) -> Snapshot:
             raise FileNotFoundError(f"snapshot file missing: {root / name}")
     try:
         meta = json.loads((root / "snapshot.json").read_bytes())
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nested too deep
         meta = None
     version = meta.get("format_version") if isinstance(meta, dict) else None
     if version != SNAPSHOT_FORMAT_VERSION:

@@ -412,8 +412,8 @@ NUMPY_FREE_EXIT_1 = {
     "measure --seed -1": "error: expected non-negative integer",
 }
 
-# modules no command needs: numpy serves only the dense paths, and dataclasses (which loads
-# inspect) only qla
+# modules no command needs: numpy serves only the dense paths, and no qcorolla module loads
+# dataclasses (which loads inspect) any more
 HEAVY = {"numpy", "dataclasses", "inspect"}
 
 

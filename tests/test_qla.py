@@ -136,6 +136,33 @@ def test_tensor_dim_product():
     assert tensor(basis_state(3, 0), basis_state(4, 0)).dim == 12
 
 
+def test_tensor_writes_what_np_kron_writes_bit_for_bit():
+    def bits(amps):
+        return amps.view(np.uint64).tolist()
+
+    # every 1x1 product of unit amplitudes with a -0.0 or subnormal part, then seeded pairs of sizes 1-8
+    states = [StateVector([u]) for u in (complex(1.0, -0.0), complex(-0.0, 1.0), complex(-1.0, 5e-324),
+                                         complex(0.6, -0.8), complex(-0.0, -1.0))]
+    pairs = [(a, b) for a in states for b in states]
+    rng = np.random.default_rng(27)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]
+    for _ in range(200):
+        dim = int(rng.integers(1, 9))
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for k in rng.integers(1, dim, size=dim // 2):  # amplitude 0 keeps the norm away from 0
+            amps[k] = complex(rng.choice(specials), rng.choice(specials + [float(amps[k].imag)]))
+        states.append(StateVector(amps / np.linalg.norm(amps)))
+    for _ in range(2000):
+        pairs.append((states[rng.integers(len(states))], states[rng.integers(len(states))]))
+    parts = np.concatenate([np.concatenate([a.amplitudes, b.amplitudes]) for a, b in pairs]).view(float)
+    assert np.signbit(parts[parts == 0]).any() and (parts == 5e-324).any()
+    assert ((parts != 0) & (np.abs(parts) < np.finfo(float).tiny)).sum() > 100
+    for a, b in pairs:
+        product = tensor(a, b).amplitudes
+        assert bits(product) == bits(np.kron(a.amplitudes, b.amplitudes)), (a.amplitudes, b.amplitudes)
+        assert product.flags.owndata and not product.flags.writeable
+
+
 # --- outer / mix -----------------------------------------------------------------
 
 def test_outer_basis():

@@ -1,4 +1,4 @@
-"""The example scripts the README documents run to completion."""
+"""The example scripts and the Python example the README documents run to completion."""
 
 import os
 import subprocess
@@ -22,3 +22,17 @@ def test_script_runs(script):
         done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip()
+
+
+def test_readme_example_prints_what_its_comments_say():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Core model in five lines", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # the closed forms need no numpy, so the example runs where it cannot be imported
+    code = f'import sys; sys.modules["numpy"] = None\n{example}'
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    converse, bits = done.stdout.splitlines()
+    assert converse == "('person:Alice', 'kin:ChildOf', 'person:Bob')"
+    assert abs(float(bits) - 0.4) <= 1e-12, bits

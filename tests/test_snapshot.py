@@ -668,6 +668,10 @@ CORRUPTIONS = {
         lambda d: (d / "snapshot.json").write_text("{", encoding="utf-8"),
         "re-run 'qcorolla ingest'",
     ),
+    "snapshot.json nested too deep": (
+        lambda d: (d / "snapshot.json").write_text("[" * 200_000, encoding="utf-8"),
+        "unsupported snapshot format version None (this qcorolla reads 2); re-run 'qcorolla ingest'",
+    ),
     "snapshot.json without crc32": (
         lambda d: (d / "snapshot.json").write_text('{"format_version": 2}\n', encoding="utf-8"),
         "lacks crc32, d or edges",

@@ -22,8 +22,6 @@ from qcorolla.errors import (
     UnknownPredicateError,
 )
 from qcorolla.store import (
-    CorollaView,
-    NodeReport,
     Statement,
     export_jsonl,
     ingest,
@@ -35,7 +33,7 @@ from qcorolla.store import (
     query_node,
     save_snapshot,
 )
-from qcorolla.corolla import ConverseRegistry, load_registry
+from qcorolla.corolla import ConverseRegistry, CorollaView, NodeReport, load_registry
 from qcorolla.qusym import load_vocabulary, source_lines, vocabulary_from_symbols
 
 
@@ -421,6 +419,28 @@ def test_exported_statement_fault_names_only_its_line(kinship_paths, tmp_path):
             load_jsonl(path)
         assert (excinfo.value.line, excinfo.value.column) == (3, None), bad
         assert str(excinfo.value).startswith("line 3: "), bad
+
+
+def test_a_record_nested_too_deep_is_rejected_at_its_line(tmp_path):
+    good = json.dumps({"s": "person:Bob", "p": "kin:ParentOf", "o": "person:Alice"})
+    path = tmp_path / "edges.jsonl"
+    path.write_text(f'{good}\n{{"s": {"[" * 200_000}\n{good}\n', encoding="utf-8")
+    with pytest.raises(MalformedTokenError) as excinfo:
+        load_jsonl(path)
+    assert str(excinfo.value) == "line 2: expected a JSON object with string 's', 'p' and 'o'"
+
+
+@pytest.mark.parametrize("space", ["\f", "\v", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"],
+                         ids=["FF", "VT", "FS", "NEL", "NBSP", "LS", "ideographic space"])
+def test_only_json_whitespace_makes_a_line_blank(tmp_path, space):
+    good = json.dumps({"s": "person:Bob", "p": "kin:ParentOf", "o": "person:Alice"})
+    path = tmp_path / "edges.jsonl"
+    path.write_bytes(f"{good}\n{space}\n{good}\n".encode("utf-8"))
+    with pytest.raises(MalformedTokenError) as excinfo:
+        load_jsonl(path)
+    assert (excinfo.value.line, excinfo.value.column) == (2, None)
+    path.write_bytes(f"{good}\n\n \t\r \n\r\n{good}\n\t".encode("utf-8"))
+    assert [statement.line for statement in load_jsonl(path)] == [1, 5]
 
 
 def test_export_is_read_as_every_source_file_is(tmp_path):
